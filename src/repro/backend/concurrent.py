@@ -5,12 +5,13 @@ work (lint rules REP007/REP106 flag raw ``threading`` /
 ``concurrent.futures`` use for pricing anywhere else). It deliberately
 knows nothing about budgets, caches, stats, or events: callers hand it a
 pure *shard function* that computes costs, and it returns them in
-submission order. The speculate-then-commit discipline lives in
-:meth:`~repro.optimizer.whatif.WhatIfOptimizer._prefetch_concurrent` —
-workers only compute; a single serial commit loop replays the results
-against the :class:`~repro.budget.policy.BudgetPolicy`, so grants,
-denials, stats counters, and the event stream are bit-identical to
-serial execution for every job count.
+submission order. The commit discipline lives in the optimizer's one
+batch-commit loop (:meth:`~repro.optimizer.whatif.WhatIfOptimizer._commit_batch`)
+— workers only compute; the loop replays the results serially against the
+:class:`~repro.budget.policy.BudgetPolicy`, so grants, denials, stats
+counters, and the event stream are bit-identical to serial execution for
+every job count. At one job :meth:`PricingExecutor.map_shards` runs inline
+and no thread pool exists.
 
 Shards are **contiguous** slices of the submitted items: reassembly is a
 plain concatenation in shard order, which makes the order-preservation
@@ -63,7 +64,6 @@ class PricingExecutor:
             pool is never created).
         shard_pairs: Target pairs per shard per wave; ``wave_size`` is
             ``jobs * shard_pairs``.
-        thread_name_prefix: Diagnostic name for worker threads.
 
     The underlying :class:`~concurrent.futures.ThreadPoolExecutor` is
     created lazily on first concurrent use and torn down by
@@ -72,18 +72,11 @@ class PricingExecutor:
     flush rather than a poison pill.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        shard_pairs: int = DEFAULT_SHARD_PAIRS,
-        thread_name_prefix: str = "whatif-pricing",
-    ):
+    def __init__(self, jobs: int, *, shard_pairs: int = DEFAULT_SHARD_PAIRS):
         if jobs < 1:
             raise ValueError(f"pricing jobs must be at least 1, got {jobs}")
         self._jobs = jobs
         self._shard_pairs = max(1, shard_pairs)
-        self._prefix = thread_name_prefix
         self._pool: ThreadPoolExecutor | None = None
 
     @property
@@ -100,7 +93,7 @@ class PricingExecutor:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(
-                max_workers=self._jobs, thread_name_prefix=self._prefix
+                max_workers=self._jobs, thread_name_prefix="whatif-pricing"
             )
         return self._pool
 
@@ -129,19 +122,6 @@ class PricingExecutor:
         for (start, stop), future in zip(spans, futures, strict=True):
             results.extend(self._collect(future.result(), stop - start))
         return results
-
-    def map_items(
-        self, price_item: Callable[[T], R], items: Sequence[T]
-    ) -> list[R]:
-        """Per-item order-preserving map (the legacy ``whatif_pool_size``
-        path, kept for bit-compatibility with pre-executor pooled batches).
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self._jobs == 1 or len(items) == 1:
-            return [price_item(item) for item in items]
-        return list(self._ensure_pool().map(price_item, items))
 
     @staticmethod
     def _collect(shard_results: Sequence[R], expected: int) -> list[R]:

@@ -67,8 +67,8 @@ class BackendSpec:
             driver can resolve the DSN in the worker's environment.
         pg_schema: Optional schema (``search_path``) for the postgres
             backend's tables.
-        pricing_jobs: Concurrent pricing workers for the speculate-then-
-            commit executor (1 = serial path; never affects results).
+        pricing_jobs: Concurrent pricing workers for the batch-commit
+            loop (1 = no speculation; never affects results).
         whatif_cache: Persistent cross-session what-if cache directory
             (``None`` disables; never affects results).
     """
@@ -150,7 +150,6 @@ def build_backend(
     events: "EventLog | None" = None,
     cost_model: "CostModel | None" = None,
     normalize_cache: bool | None = None,
-    pool_size: int | None = None,
     **backend_kwargs,
 ) -> "CostBackend":
     """Build the cost backend selected by ``spec`` for ``workload``.
@@ -167,7 +166,6 @@ def build_backend(
         budget=budget,
         cost_model=cost_model,
         normalize_cache=normalize_cache,
-        pool_size=pool_size,
         pricing_jobs=resolved.pricing_jobs,
         whatif_cache=resolved.whatif_cache,
         config=config,

@@ -6,8 +6,8 @@ operation whose expense motivates the paper's budget accounting. The
 backend subclasses the analytic engine, so caching, relevant-index
 normalization, budget metering, observers, events, and
 :class:`~repro.optimizer.whatif.WhatIfStats` are all inherited unchanged —
-only the single pricing seam (:meth:`PostgresBackend._evaluate` plus the
-batched :meth:`PostgresBackend._price_batch`) talks to the server:
+only the pricing seam (:meth:`PostgresBackend._price_shard`, which every
+fresh pricing goes through) talks to the server:
 
 1. sync the connection's HypoPG hypothetical indexes to the normalized
    configuration (diffed, not rebuilt — see
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from time import perf_counter
 from typing import Callable
 
 from repro.backend.analytic import AnalyticBackend
@@ -253,7 +252,7 @@ class PostgresBackend(AnalyticBackend):
             self._saved = False
 
     def _on_recalled(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        # A persistent-cache hit skips _evaluate; mirror it into the trace
+        # A persistent-cache hit skips _price_shard; mirror it into the trace
         # so a warm-cache recorded session still replays completely.
         self._record(qid, key, cost)
 
@@ -273,16 +272,10 @@ class PostgresBackend(AnalyticBackend):
         identity.update(self.server_info())
         return identity
 
-    def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
-        sql = self._sql[prepared.qid]
-        cost = self._run(lambda session: session.cost(sql, key))
-        self._record(prepared.qid, key, cost)
-        return cost
-
     def _price_shard(
         self, shard: list[tuple[str, PreparedQuery, frozenset[Index]]]
     ) -> list[float]:
-        """Price one speculative wave shard on a single pooled session.
+        """Price one shard of a commit-loop wave on a single pooled session.
 
         Concurrent shards borrow distinct pooled connections, so EXPLAIN
         round-trips overlap on the server; within a shard, pairs are
@@ -305,51 +298,6 @@ class PostgresBackend(AnalyticBackend):
         self._run(price_all)
         for (qid, _, norm), cost in zip(shard, costs, strict=True):
             self._record(qid, norm, cost)
-        return costs
-
-    def _price_batch(
-        self, pending: list[tuple[str, PreparedQuery, frozenset[Index]]]
-    ) -> list[float]:
-        """Price a prefetch batch in one connection round-trip.
-
-        Pairs are grouped by their (already normalized) configuration so
-        each distinct hypothetical-index set is synced exactly once per
-        batch; every query under it is then EXPLAINed on the same
-        connection. Costs are returned in issue order — the caller
-        commits them to the cache/log in that order, so layouts stay
-        pool-size- and grouping-invariant.
-        """
-        self._stats.batch_calls += 1
-        self._stats.batched_pairs += len(pending)
-        costs: list[float] = [0.0] * len(pending)
-        misses = list(range(len(pending)))
-        if self._whatif_cache is not None:
-            misses = []
-            for position, (qid, _, norm) in enumerate(pending):
-                recalled = self._recall(qid, norm)
-                if recalled is None:
-                    misses.append(position)
-                else:
-                    costs[position] = recalled
-        if misses:
-            groups: dict[frozenset[Index], list[int]] = {}
-            for position in misses:
-                groups.setdefault(pending[position][2], []).append(position)
-
-            def price_all(session: PostgresSession) -> None:
-                for norm, positions in groups.items():
-                    for position in positions:
-                        qid, _, _ = pending[position]
-                        costs[position] = session.cost(self._sql[qid], norm)
-
-            start = perf_counter()
-            self._run(price_all)
-            self._stats.cost_seconds += perf_counter() - start
-            for position in misses:
-                qid, _, norm = pending[position]
-                self._record(qid, norm, costs[position])
-                self._store(qid, norm, costs[position])
-        self._stats.cost_evaluations += len(pending)
         return costs
 
     def explain(self, query: Query, configuration) -> PostgresPlan:

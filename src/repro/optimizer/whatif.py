@@ -27,23 +27,23 @@ semantics:
   *normalized* key is uncached; costs are bit-identical because irrelevant
   indexes contribute no plan options. Disable with ``normalize_cache=False``
   to reproduce whole-key caching.
-* **Batched costing** — :meth:`whatif_prefetch` and
-  :meth:`whatif_workload_costs` partition uncached (query, key) pairs,
-  price them in one pass (optionally on a thread pool sized by
-  :class:`~repro.config.ReproConfig.whatif_pool_size`), and commit cache /
-  meter / log updates strictly in issue order, so budget accounting and the
-  call-log layout are identical for every pool size.
+* **One batch-commit loop** — :meth:`whatif_cost` (a batch of one),
+  :meth:`whatif_prefetch`, and :meth:`whatif_workload_costs` all charge,
+  cache, and log through :meth:`WhatIfOptimizer._commit_batch`: uncached
+  (query, key) pairs are taken in waves, priced, granted or denied by the
+  policy in issue order, and only then committed, so budget accounting and
+  the call-log layout are identical for every job count.
 
 Two further layers speed up pricing itself, again without touching
 semantics:
 
-* **Concurrent pricing** (``pricing_jobs > 1``) — batches run through the
-  speculate-then-commit executor (:mod:`repro.backend.concurrent`):
-  workers only *compute* costs for bounded waves of candidates, then a
-  single serial commit loop replays the policy ``try_charge`` sequence and
-  the cache/log/event commits in issue order, so grants, denials, stats,
-  and the event stream are bit-identical to serial execution for every
-  job count.
+* **Concurrent pricing** (``pricing_jobs > 1``) — waves grow to bounded
+  batches that the executor (:mod:`repro.backend.concurrent`) prices on
+  worker threads *ahead of* their budget decisions; workers only compute
+  costs, and the loop's serial ``try_charge`` and commit sequence is the
+  same as at one job, so grants, denials, stats, and the event stream are
+  bit-identical to serial execution. At one job a wave is a single pair,
+  priced only after the policy admits it.
 * **Persistent cross-session cache** (``whatif_cache``) — a shard file per
   backend fingerprint (:mod:`repro.backend.cache`) remembers priced pairs
   across sessions. A hit replaces the pricing *work* of a call, never its
@@ -58,6 +58,7 @@ stay visible in eval reports, the CLI, and the throughput benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from time import perf_counter
 
@@ -105,14 +106,14 @@ class WhatIfStats:
         cost_evaluations: Cost-model pricings, counted and uncounted
             (ground-truth evaluation included).
         cost_seconds: Cumulative wall-clock spent inside
-            :meth:`CostModel.cost` (for pooled batches: the batch wall time).
+            :meth:`CostModel.cost` (for concurrent waves: the wave wall time).
         batch_calls: Batched pricing passes issued.
         batched_pairs: Uncached pairs priced by those passes.
         replayed: Evaluations served from a recorded trace instead of the
             cost model (always 0 outside the replay backend).
         speculative_priced: Pairs resolved (priced or recalled) by the
             concurrent executor *ahead of* their budget decision (always 0
-            on the serial path).
+            at one pricing job).
         speculation_wasted: Speculatively priced pairs later denied by the
             budget policy (or cut by a batch limit) and discarded — work
             spent, but never charged or committed.
@@ -168,16 +169,14 @@ class WhatIfOptimizer:
             workload's schema).
         normalize_cache: Collapse cache keys to the query's relevant index
             subset (default on; ``None`` defers to ``config``).
-        pool_size: Worker threads for batched costing (``None`` defers to
-            ``config``; 1 prices serially). Never affects results.
-        pricing_jobs: Concurrent pricing workers for the speculate-then-
-            commit batch executor (``None`` defers to ``config``; 1 keeps
-            the serial path). Never affects results.
+        pricing_jobs: Concurrent pricing workers for the batch-commit
+            loop (``None`` defers to ``config``; 1 prices each pair only
+            after its budget decision). Never affects results.
         whatif_cache: Persistent cross-session cache directory (``None``
             defers to ``config``; unset disables). Never affects results.
         config: Engine knobs; defaults to
             :meth:`~repro.config.ReproConfig.from_env` so the
-            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_WHATIF_POOL`` environment
+            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_PRICING_JOBS`` environment
             knobs apply to any run that does not pass an explicit config.
         policy: Budget policy authorising counted calls. Defaults to
             :class:`~repro.budget.policy.FCFSPolicy` over ``budget`` (the
@@ -187,10 +186,10 @@ class WhatIfOptimizer:
             reported as ``whatif_call`` events.
     """
 
-    #: Whether batches may run through the concurrent pricing executor.
+    #: Whether batch waves may be priced on concurrent workers.
     #: Backends whose raw evaluation is not worker-thread-safe (or not worth
     #: parallelising, e.g. replay's dict lookups) clear this and always
-    #: price serially — results are identical either way.
+    #: run the loop at one job — results are identical either way.
     supports_concurrent_pricing = True
 
     def __init__(
@@ -200,7 +199,6 @@ class WhatIfOptimizer:
         cost_model: CostModel | None = None,
         *,
         normalize_cache: bool | None = None,
-        pool_size: int | None = None,
         pricing_jobs: int | None = None,
         whatif_cache: str | Path | None = None,
         config: ReproConfig | None = None,
@@ -222,9 +220,6 @@ class WhatIfOptimizer:
         self._normalize = (
             base.normalize_cache if normalize_cache is None else normalize_cache
         )
-        self._pool_size = base.whatif_pool_size if pool_size is None else pool_size
-        if self._pool_size < 1:
-            raise TuningError(f"pool_size must be at least 1, got {self._pool_size}")
         self._pricing_jobs = (
             base.pricing_jobs if pricing_jobs is None else pricing_jobs
         )
@@ -236,7 +231,6 @@ class WhatIfOptimizer:
             base.whatif_cache if whatif_cache is None else whatif_cache
         )
         self._pcache = None
-        self._executor = None
         self._pricing_executor = None
         self._prepared: dict[str, PreparedQuery] = {}
         self._cache: dict[tuple[str, frozenset[Index]], float] = {}
@@ -349,15 +343,12 @@ class WhatIfOptimizer:
         return self._whatif_cache
 
     def close(self) -> None:
-        """Flush the persistent cache and shut down pricing executors.
+        """Flush the persistent cache and shut down the pricing executor.
 
         Safe to call repeatedly; the optimizer stays usable afterwards
-        (executors and the cache reopen lazily on the next pricing), so
+        (the executor and the cache reopen lazily on the next pricing), so
         evaluation helpers may keep costing after a session is closed.
         """
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
         if self._pricing_executor is not None:
             self._pricing_executor.shutdown()
             self._pricing_executor = None
@@ -381,11 +372,12 @@ class WhatIfOptimizer:
         return key
 
     def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
-        """One raw cost evaluation — the single cost-backend seam.
+        """One raw cost evaluation — the per-pair cost-backend seam.
 
         Every fresh pricing (counted calls, free empty-configuration costs,
-        uncounted ground-truth evaluations, pooled batches) funnels through
-        here; subclasses in :mod:`repro.backend` override it to perturb
+        uncounted ground-truth evaluations) funnels through
+        :meth:`_price_shard`, which calls this once per pair; subclasses in
+        :mod:`repro.backend` override it to perturb
         (:class:`~repro.backend.noisy.NoisyBackend`) or replace
         (:class:`~repro.backend.replay.ReplayBackend`) the analytic cost
         model without touching caching, normalization, or budget accounting.
@@ -458,21 +450,13 @@ class WhatIfOptimizer:
 
     def _price(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         """One instrumented cost evaluation (persistent-cache aware)."""
-        if self._whatif_cache is not None:
-            cost = self._recall(prepared.qid, key)
-            if cost is not None:
-                self._stats.cost_evaluations += 1
-                return cost
-        start = perf_counter()
-        cost = self._evaluate(prepared, key)
-        self._stats.cost_seconds += perf_counter() - start
+        (cost,) = self._resolve([(prepared.qid, prepared, key)])
         self._stats.cost_evaluations += 1
-        if self._whatif_cache is not None:
-            self._store(prepared.qid, key, cost)
         return cost
 
     def _commit_call(self, qid: str, key: frozenset[Index], cost: float) -> None:
         """Record one counted call: cache, derivation store, and layout log."""
+        self._stats.cache_misses += 1
         self._cache[(qid, key)] = cost
         self._derivation.record(qid, key, cost)
         self._log.append(
@@ -524,9 +508,10 @@ class WhatIfOptimizer:
     def whatif_cost(self, query: Query, configuration) -> float:
         """``c(q, C)`` via a counted what-if call (cached pairs are free).
 
-        The call is counted iff the *normalized* key is uncached; the policy
-        is charged only after a successful costing, so a cost-model failure
-        never leaks a budget unit.
+        The call is counted iff the *normalized* key is uncached. It is a
+        batch of one through the batch-commit loop: the pair is priced once
+        the policy admits it and charged only after a successful costing, so
+        a cost-model failure never leaks a budget unit.
 
         Raises:
             BudgetExhaustedError: If the pair is uncached and the budget
@@ -548,12 +533,9 @@ class WhatIfOptimizer:
             if norm is not key:
                 self._stats.normalized_hits += 1
             return cached
-        self._policy.check(query.qid)
-        cost = self._price(prepared, norm)
-        self._policy.charge(query.qid)
-        self._stats.cache_misses += 1
-        self._commit_call(query.qid, norm, cost)
-        return cost
+        if not self._commit_batch([(query.qid, prepared, norm)]):
+            self._policy.check(query.qid)
+        return self._cache[(query.qid, norm)]
 
     def trial_cost(
         self, query: Query, base_cost: float, trial: frozenset[Index], extra: Index
@@ -591,15 +573,16 @@ class WhatIfOptimizer:
     def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int:
         """Price and commit uncached (query, configuration) pairs in bulk.
 
-        Pairs are normalized and deduplicated *in issue order*; each
-        surviving pair reserves one counted call through the budget policy's
-        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` (denied pairs
-        are skipped and left uncached). Reserved pairs are priced — serially
-        or on the thread pool — and then committed to the cache, derivation
-        store, and call log strictly in issue order. Under FCFS the granted
-        set is exactly the budget-sized prefix, so the result is
-        bit-identical to issuing :meth:`whatif_cost` sequentially for the
-        same pairs, for every pool size.
+        Pairs are normalized and deduplicated *in issue order*, then run
+        through the batch-commit loop (:meth:`_commit_batch`): each
+        surviving pair is granted or denied by the budget policy's
+        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
+        (denied pairs are skipped and left uncached), and granted pairs are
+        committed to the cache, derivation store, and call log in that
+        order. Under FCFS the granted set is exactly the budget-sized
+        prefix, so the result is bit-identical to issuing
+        :meth:`whatif_cost` sequentially for the same pairs, for every
+        ``pricing_jobs``.
 
         Unlike :meth:`whatif_cost` this never raises on exhaustion: it
         prices what fits and leaves the rest uncached.
@@ -612,13 +595,20 @@ class WhatIfOptimizer:
         Returns:
             Number of counted calls issued.
         """
-        if self._pricing_jobs > 1 and self.supports_concurrent_pricing:
-            return self._prefetch_concurrent(pairs, limit)
-        pending: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
+        granted = self._commit_batch(self._uncached(pairs), limit)
+        if granted:
+            self._stats.batch_calls += 1
+            self._stats.batched_pairs += granted
+        return granted
+
+    def _uncached(self, pairs):
+        """Lazily yield ``(qid, prepared, key)`` for each new uncached pair.
+
+        Keys are normalized; empty or fully-irrelevant configurations, cached
+        pairs, and repeats within ``pairs`` are dropped, in issue order.
+        """
         seen: set[tuple[str, frozenset[Index]]] = set()
         for query, configuration in pairs:
-            if limit is not None and len(pending) >= limit:
-                break
             key = config_key(configuration)
             if not key:
                 continue
@@ -630,105 +620,87 @@ class WhatIfOptimizer:
             if cache_key in self._cache or cache_key in seen:
                 continue
             seen.add(cache_key)
-            if not self._policy.try_charge(query.qid):
-                continue
-            pending.append((query.qid, prepared, norm))
-        if not pending:
-            return 0
+            yield query.qid, prepared, norm
 
-        costs = self._price_batch(pending)
-        for (qid, _, norm), cost in zip(pending, costs, strict=True):
-            self._stats.cache_misses += 1
-            self._commit_call(qid, norm, cost)
-        return len(pending)
+    def _commit_batch(self, pending, limit: int | None = None) -> int:
+        """Charge and commit uncached pairs in issue order: the pricing loop.
 
-    def _prefetch_concurrent(self, pairs, limit: int | None) -> int:
-        """The ``pricing_jobs > 1`` form of :meth:`whatif_prefetch`.
+        Every counted call goes through here. ``pending`` yields
+        ``(qid, prepared, key)`` triples (normalized, uncached, distinct).
+        At one pricing job each pair is priced only once the policy
+        ``admits`` it, so nothing is priced or recalled ahead of its budget
+        decision; with more jobs, waves of pairs are resolved ahead
+        (:meth:`_speculate`). The ``try_charge`` decisions run in issue
+        order, and cache / derivation / log / ``whatif_call`` commits follow
+        all of them, so grants, denials, and the event stream do not depend
+        on the job count. Pairs resolved ahead but denied, or cut by
+        ``limit``, are discarded as ``speculation_wasted`` — never charged
+        or cached.
 
-        Speculate-then-commit: candidates are collected in bounded waves
-        (at most ``jobs × shard_pairs`` pairs each), priced by worker
-        threads that only *compute*, then replayed serially. The policy
-        ``try_charge`` sequence is issued per candidate in pair order —
-        exactly the sequence the serial path issues — and all cache / call
-        log / ``whatif_call`` commits happen after every charge decision,
-        matching the serial path's collect-then-commit shape. Grants,
-        denials, stats counters, and the event stream are therefore
-        bit-identical to serial execution; only wall-clock (and the
-        ``speculative_*`` counters) change. Wasted speculation past a
-        denial or batch limit is bounded by one wave and is discarded,
-        never charged.
+        A pricing failure leaves its pair uncharged; the pairs granted
+        before it are still committed, so every charged unit is logged.
+
+        Returns:
+            Number of counted calls committed.
         """
         if limit is not None and limit <= 0:
             return 0
-        executor = self._ensure_pricing_executor()
-        wave_size = executor.wave_size
-        pairs_iter = iter(pairs)
-        seen: set[tuple[str, frozenset[Index]]] = set()
+        executor = self._executor()
+        if executor.jobs == 1:
+            stream = zip(pending, repeat(None))
+        else:
+            stream = self._speculate(iter(pending), executor.wave_size)
+        policy, stats = self._policy, self._stats
         granted: list[tuple[str, frozenset[Index], float]] = []
-        stop = False
-        while not stop:
-            wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
-            for query, configuration in pairs_iter:
-                key = config_key(configuration)
-                if not key:
-                    continue
-                prepared = self.prepared(query)
-                norm = self._norm_key(prepared, key)
-                if not norm:
-                    continue
-                cache_key = (query.qid, norm)
-                if cache_key in self._cache or cache_key in seen:
-                    continue
-                seen.add(cache_key)
-                wave.append((query.qid, prepared, norm))
-                if len(wave) >= wave_size:
-                    break
-            if not wave:
-                break
-            costs = self._price_wave(wave, executor)
-            for position, ((qid, prepared, norm), cost) in enumerate(
-                zip(wave, costs, strict=True)
-            ):
-                if limit is not None and len(granted) >= limit:
-                    self._stats.speculation_wasted += sum(
-                        1 for extra in costs[position:] if extra is not None
-                    )
-                    stop = True
-                    break
-                if not self._policy.try_charge(qid):
-                    if cost is not None:
-                        self._stats.speculation_wasted += 1
-                    continue
-                if cost is None:
-                    # The wave skipped pricing because the policy looked
-                    # globally exhausted, yet this pair was granted (no
-                    # shipped policy does this); price it serially.
+        ahead_before = stats.speculative_priced
+        used_ahead = 0
+        try:
+            for (qid, prepared, norm), ahead in stream:
+                cost = ahead
+                if cost is None and policy.admits(qid):
                     cost = self._price(prepared, norm)
-                else:
-                    self._stats.cost_evaluations += 1
+                if not policy.try_charge(qid):
+                    continue
+                if ahead is not None:
+                    stats.cost_evaluations += 1
+                    used_ahead += 1
                 granted.append((qid, norm, cost))
-        for qid, norm, cost in granted:
-            self._stats.cache_misses += 1
-            self._commit_call(qid, norm, cost)
-        if granted:
-            self._stats.batch_calls += 1
-            self._stats.batched_pairs += len(granted)
+                if limit is not None and len(granted) >= limit:
+                    break
+        finally:
+            stats.speculation_wasted += (
+                stats.speculative_priced - ahead_before - used_ahead
+            )
+            for qid, norm, cost in granted:
+                self._commit_call(qid, norm, cost)
         return len(granted)
 
-    def _price_wave(self, wave, executor) -> list[float | None]:
-        """Speculatively resolve one wave; one cost (or ``None``) per pair.
+    def _speculate(self, pending, wave_size: int):
+        """Yield ``(triple, cost)``, resolving waves ahead of their decisions.
 
-        ``None`` marks a pair that was deliberately not priced: the policy
-        is globally exhausted (no further call can ever be granted), so the
-        commit loop replays the denials without paying for speculation it
-        could never use. Persistent-cache recalls happen here, on the main
-        thread; only fresh evaluations fan out to workers.
+        Triples are taken in waves of up to ``wave_size``, and each wave is
+        resolved concurrently (:meth:`_resolve`) before its first decision.
+        A wave of one pair has nothing to overlap, and an exhausted policy
+        will grant nothing, so those get ``None`` and are left to the
+        commit loop.
         """
-        if self._policy.exhausted:
-            return [None] * len(wave)
-        self._stats.speculative_priced += len(wave)
-        costs: list[float | None] = [None] * len(wave)
-        misses = list(range(len(wave)))
+        while wave := list(islice(pending, wave_size)):
+            if len(wave) == 1 or self._policy.exhausted:
+                yield from zip(wave, repeat(None))
+            else:
+                self._stats.speculative_priced += len(wave)
+                yield from zip(wave, self._resolve(wave), strict=True)
+
+    def _resolve(self, wave) -> list[float]:
+        """Recall or price each ``(qid, prepared, key)`` of ``wave``, in order.
+
+        Persistent-cache recalls happen on the calling thread; fresh
+        pricings go through :meth:`_price_shard`, fanned out by the pricing
+        executor (inline at one job). Only costs are computed here — budget
+        charges and commits belong to :meth:`_commit_batch`.
+        """
+        costs: list = [None] * len(wave)
+        misses = range(len(wave))
         if self._whatif_cache is not None:
             misses = []
             for position, (qid, _, norm) in enumerate(wave):
@@ -739,7 +711,7 @@ class WhatIfOptimizer:
                     costs[position] = recalled
         if misses:
             start = perf_counter()
-            fresh = executor.map_shards(
+            fresh = self._executor().map_shards(
                 self._price_shard, [wave[position] for position in misses]
             )
             self._stats.cost_seconds += perf_counter() - start
@@ -753,65 +725,22 @@ class WhatIfOptimizer:
     def _price_shard(
         self, shard: list[tuple[str, PreparedQuery, frozenset[Index]]]
     ) -> list[float]:
-        """Price one contiguous shard of a wave (executor worker entry).
+        """Price one contiguous shard of pairs (executor worker entry).
 
-        Runs on a worker thread: implementations must only *compute* —
+        May run on a worker thread: implementations must only *compute* —
         no stats, cache, policy, or event mutation belongs here; the
         commit loop owns all bookkeeping. The postgres backend overrides
         this to price its shard over one pooled connection.
         """
         return [self._evaluate(prepared, norm) for _, prepared, norm in shard]
 
-    def _price_batch(
-        self, pending: list[tuple[str, PreparedQuery, frozenset[Index]]]
-    ) -> list[float]:
-        """Price pending pairs, preserving order; pooled when configured."""
-        self._stats.batch_calls += 1
-        self._stats.batched_pairs += len(pending)
-        if self._pool_size > 1 and len(pending) > 1:
-            costs: list[float] = [0.0] * len(pending)
-            misses = list(range(len(pending)))
-            if self._whatif_cache is not None:
-                misses = []
-                for position, (qid, _, norm) in enumerate(pending):
-                    recalled = self._recall(qid, norm)
-                    if recalled is None:
-                        misses.append(position)
-                    else:
-                        costs[position] = recalled
-            if misses:
-                executor = self._ensure_executor()
-                start = perf_counter()
-                fresh = executor.map_items(
-                    lambda item: self._evaluate(item[1], item[2]),
-                    [pending[position] for position in misses],
-                )
-                self._stats.cost_seconds += perf_counter() - start
-                for position, cost in zip(misses, fresh, strict=True):
-                    costs[position] = cost
-                    if self._whatif_cache is not None:
-                        qid, _, norm = pending[position]
-                        self._store(qid, norm, cost)
-            self._stats.cost_evaluations += len(pending)
-            return costs
-        return [self._price(prepared, norm) for _, prepared, norm in pending]
-
-    def _ensure_executor(self):
-        """The legacy ``whatif_pool_size`` per-item pool (lazy)."""
-        if self._executor is None:
-            from repro.backend.concurrent import PricingExecutor
-
-            self._executor = PricingExecutor(
-                self._pool_size, thread_name_prefix="whatif"
-            )
-        return self._executor
-
-    def _ensure_pricing_executor(self):
-        """The speculate-then-commit wave executor (lazy)."""
+    def _executor(self):
+        """The pricing executor (lazy; one job when the backend is serial)."""
         if self._pricing_executor is None:
             from repro.backend.concurrent import PricingExecutor
 
-            self._pricing_executor = PricingExecutor(self._pricing_jobs)
+            jobs = self._pricing_jobs if self.supports_concurrent_pricing else 1
+            self._pricing_executor = PricingExecutor(jobs)
         return self._pricing_executor
 
     def whatif_workload_costs(

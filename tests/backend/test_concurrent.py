@@ -2,8 +2,8 @@
 
 Three contracts are pinned here:
 
-* **Bit-identity** — for every ``pricing_jobs`` the speculate-then-commit
-  path must reproduce the serial path exactly: call log, budget grants
+* **Bit-identity** — for every ``pricing_jobs`` the batch-commit loop
+  must reproduce the serial path exactly: call log, budget grants
   and denials, stats counters, and the session event stream (the golden
   tuner cases re-run against ``fcfs_golden.json`` with jobs > 1).
 * **Bounded, uncharged waste** — a budget that runs out mid-batch
@@ -29,6 +29,7 @@ from repro.backend.cache import (
 )
 from repro.backend.concurrent import PricingExecutor, plan_shards
 from repro.budget.events import EventLog
+from repro.exceptions import TuningError
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
 
@@ -92,6 +93,8 @@ class TestPricingExecutor:
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError, match="at least 1"):
             PricingExecutor(0)
+        with pytest.raises(TuningError, match="at least 1"):
+            BackendSpec(pricing_jobs=0)
 
     def test_map_shards_preserves_submission_order(self):
         executor = PricingExecutor(4)
@@ -126,15 +129,6 @@ class TestPricingExecutor:
         executor.shutdown()
         assert executor.map_shards(lambda shard: shard, [5, 6, 7, 8]) == [5, 6, 7, 8]
         executor.shutdown()
-
-    def test_map_items_preserves_order(self):
-        executor = PricingExecutor(3)
-        try:
-            assert executor.map_items(str, list(range(20))) == [
-                str(item) for item in range(20)
-            ]
-        finally:
-            executor.shutdown()
 
 
 # --------------------------------------------------------------------- #

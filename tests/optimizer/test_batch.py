@@ -1,14 +1,17 @@
 """Batched what-if costing: determinism, budget accounting, edge cases.
 
-The batch API must be a pure wall-clock optimization: for any pool size it
-commits the same counted calls, in the same order, with the same ordinals
-and costs as the sequential path.
+The batch API must be a pure wall-clock optimization: for any number of
+pricing jobs it commits the same counted calls, in the same order, with the
+same ordinals and costs as the sequential path.
 """
 
 import pytest
 
+from repro.budget.events import EventLog
+from repro.budget.wii import WiiReallocationPolicy
 from repro.config import ReproConfig
 from repro.exceptions import BudgetExhaustedError, ConstraintError, TuningError
+from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import BudgetMeter, WhatIfOptimizer
 from repro.tuners.greedy import VanillaGreedyTuner
 from repro.workload.candidates import CandidateGenerator
@@ -80,13 +83,14 @@ class TestPoolDeterminism:
         candidates = CandidateGenerator(tpch.schema).for_workload(tpch)[:40]
         return tpch, candidates
 
-    def test_workload_costs_pool_invariant(self, tpch_slice):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_workload_costs_jobs_invariant(self, tpch_slice, jobs):
         tpch, candidates = tpch_slice
         configs = [
             frozenset(candidates[i : i + 3]) for i in range(0, 30, 3)
         ]
-        serial = WhatIfOptimizer(tpch, pool_size=1)
-        pooled = WhatIfOptimizer(tpch, pool_size=8)
+        serial = WhatIfOptimizer(tpch, pricing_jobs=1)
+        pooled = WhatIfOptimizer(tpch, pricing_jobs=jobs)
         try:
             assert serial.whatif_workload_costs(configs) == pooled.whatif_workload_costs(
                 configs
@@ -95,19 +99,20 @@ class TestPoolDeterminism:
         finally:
             pooled.close()
 
-    def test_greedy_pool_invariant(self, tpch_slice):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_greedy_jobs_invariant(self, tpch_slice, jobs):
         tpch, candidates = tpch_slice
         results = {}
-        for pool in (1, 8):
+        for run_jobs in (1, jobs):
             result = VanillaGreedyTuner().tune(
                 tpch,
                 budget=120,
                 candidates=candidates,
-                optimizer_config=ReproConfig(whatif_pool_size=pool),
+                optimizer_config=ReproConfig(pricing_jobs=run_jobs),
             )
-            results[pool] = (result.configuration, _layout(result.optimizer))
+            results[run_jobs] = (result.configuration, _layout(result.optimizer))
             result.optimizer.close()
-        assert results[1] == results[8]
+        assert results[jobs] == results[1]
 
     def test_workload_costs_match_sequential_loop(self, toy_workload, toy_candidates):
         configs = [frozenset(toy_candidates[: 1 + i]) for i in range(4)]
@@ -213,8 +218,114 @@ class TestChargeRollback:
         optimizer.whatif_cost(query, config)
         assert optimizer.meter.spent == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("route", ["prefetch", "workload_costs"])
+    def test_failed_batch_pricing_commits_every_charged_unit(
+        self, toy_workload, toy_candidates, monkeypatch, route, jobs
+    ):
+        """Regression: a pricing failure inside a batch must neither leak a
+        budget unit nor drop a granted pair — every unit charged before the
+        failure is committed, and the failing pair stays uncharged."""
+        optimizer = WhatIfOptimizer(
+            toy_workload, budget=5, normalize_cache=False, pricing_jobs=jobs
+        )
+        config = frozenset(toy_candidates[:2])
+        queries = list(toy_workload)
+        failing = queries[1]  # the second uncached pair of the batch
+        real_cost = optimizer._model.cost
+
+        def flaky(prepared, configuration):
+            if prepared.qid == failing.qid:
+                raise RuntimeError("simulated optimizer failure")
+            return real_cost(prepared, configuration)
+
+        monkeypatch.setattr(optimizer._model, "cost", flaky)
+        with pytest.raises(RuntimeError):
+            if route == "prefetch":
+                optimizer.whatif_prefetch((q, config) for q in queries[:3])
+            else:
+                optimizer.whatif_workload_costs([config])
+        monkeypatch.undo()
+        optimizer.close()
+
+        assert optimizer.meter.spent == len(optimizer.call_log)
+        assert optimizer.stats.cache_misses == len(optimizer.call_log)
+        assert not optimizer.is_cached(failing, config)
+        assert all(call.qid != failing.qid for call in optimizer.call_log)
+        # The retry charges the failed pair exactly once more.
+        spent = optimizer.meter.spent
+        optimizer.whatif_cost(failing, config)
+        assert optimizer.meter.spent == spent + 1
+
     def test_pool_size_validation(self, toy_workload):
-        with pytest.raises(TuningError):
-            WhatIfOptimizer(toy_workload, pool_size=0)
-        with pytest.raises(ConstraintError):
-            ReproConfig(whatif_pool_size=0)
+        with pytest.raises(TuningError, match="at least 1"):
+            WhatIfOptimizer(toy_workload, pricing_jobs=0)
+        with pytest.raises(ConstraintError, match="at least 1"):
+            ReproConfig(pricing_jobs=0)
+
+
+class TestNoSpeculationAtOneJob:
+    """At one pricing job a pair is priced only after the policy admits it."""
+
+    @staticmethod
+    def _pairs(workload, candidates):
+        configs = [frozenset(candidates[i : i + 2]) for i in range(3)]
+        # Query-major order, so a query's slice runs out while the global
+        # budget still has room.
+        return [(query, config) for query in workload for config in configs]
+
+    @staticmethod
+    def _assert_nothing_priced_ahead(optimizer, granted):
+        stats = optimizer.stats
+        assert stats.speculative_priced == stats.speculation_wasted == 0
+        assert stats.cost_evaluations == stats.cache_misses == granted
+
+    def test_wii_slice_denials_before_exhaustion(self, toy_workload, toy_candidates):
+        events = EventLog()
+        policy = WiiReallocationPolicy(BudgetMeter(24))
+        policy.bind(toy_workload)
+        policy.attach(events)
+        optimizer = WhatIfOptimizer(
+            toy_workload,
+            normalize_cache=False,
+            pricing_jobs=1,
+            policy=policy,
+            events=events,
+        )
+        granted = optimizer.whatif_prefetch(self._pairs(toy_workload, toy_candidates))
+        denials = [e for e in events.events if e.kind == "budget_deny"]
+        assert denials and denials[0].calls_used < 24
+        assert granted == optimizer.calls_used
+        self._assert_nothing_priced_ahead(optimizer, granted)
+
+    def test_limit(self, toy_workload, toy_candidates):
+        optimizer = WhatIfOptimizer(
+            toy_workload, budget=20, normalize_cache=False, pricing_jobs=1
+        )
+        granted = optimizer.whatif_prefetch(
+            self._pairs(toy_workload, toy_candidates), limit=5
+        )
+        assert granted == 5
+        self._assert_nothing_priced_ahead(optimizer, granted)
+
+    def test_warm_cache_recalls_only_granted_pairs(
+        self, toy_workload, toy_candidates, tmp_path, monkeypatch
+    ):
+        cache = str(tmp_path / "pcache")
+        pairs = self._pairs(toy_workload, toy_candidates)
+        cold = WhatIfOptimizer(toy_workload, pricing_jobs=1, whatif_cache=cache)
+        cold.whatif_prefetch(pairs)
+        cold.close()
+
+        def boom(self, prepared, key):
+            raise AssertionError("warm run must not touch the cost model")
+
+        monkeypatch.setattr(CostModel, "cost", boom)
+        warm = WhatIfOptimizer(
+            toy_workload, budget=9, pricing_jobs=1, whatif_cache=cache
+        )
+        granted = warm.whatif_prefetch(pairs, limit=7)
+        warm.close()
+        assert granted == 7
+        assert warm.stats.persistent_hits == warm.stats.cost_evaluations == granted
+        self._assert_nothing_priced_ahead(warm, granted)
