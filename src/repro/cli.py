@@ -395,6 +395,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     if result.stop_reason is not None:
         print(f"stopped early: {result.stop_reason}")
+    if result.end_reason is not None:
+        print(f"search ended: {result.end_reason}")
     if result.optimizer is not None:
         stats = result.optimizer.stats
         print(

@@ -1,7 +1,8 @@
 """The paper's primary contribution: MCTS-based budget-aware enumeration.
 
 * :mod:`repro.core.mdp` — the MDP view of configuration search (Section 5.1).
-* :mod:`repro.core.node` — search-tree nodes with visit/return statistics.
+* :mod:`repro.core.node` — search-tree nodes with per-action prior, visit
+  and return arrays.
 * :mod:`repro.core.selection` — action-selection policies: UCT (Eq. 5) and
   the prior-seeded ε-greedy variant (Eq. 6), Section 6.1.
 * :mod:`repro.core.priors` — Algorithm 4: singleton percentage improvements

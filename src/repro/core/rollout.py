@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.catalog import Index
 from repro.config import MCTSConfig, TuningConstraints
+from repro.core.selection import sample_proportional
 
 
 class RolloutPolicy:
@@ -52,24 +55,11 @@ class RolloutPolicy:
         """Sample ``count`` distinct indexes, prior-proportional (Eq. 6)."""
         chosen: list[Index] = []
         available = list(pool)
-        for _ in range(count):
-            if not available:
-                break
-            weights = [max(0.0, self._priors.get(ix, 0.0)) for ix in available]
-            total = sum(weights)
-            if total <= 0.0:
-                pick = rng.choice(available)
-            else:
-                threshold = rng.random() * total
-                cumulative = 0.0
-                pick = available[-1]
-                for index, weight in zip(available, weights, strict=True):
-                    cumulative += weight
-                    if cumulative >= threshold:
-                        pick = index
-                        break
-            chosen.append(pick)
-            available.remove(pick)
+        weights = np.array([max(0.0, self._priors.get(ix, 0.0)) for ix in available])
+        for _ in range(min(count, len(available))):
+            pick = sample_proportional(weights, rng)
+            chosen.append(available.pop(pick))
+            weights = np.delete(weights, pick)
         return chosen
 
     def rollout(

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.catalog import Index
 from repro.config import MCTSConfig, TuningConstraints
 from repro.core.extraction import BestExploredTracker, extract_best
 from repro.core.mdp import IndexTuningMDP
 from repro.core.node import TreeNode
 from repro.core.priors import compute_singleton_priors, prior_pair_count
-from repro.core.node import ActionStats
 from repro.core.rollout import RolloutPolicy
 from repro.core.selection import (
     BoltzmannPolicy,
@@ -29,6 +30,7 @@ from repro.core.selection import (
     UCTPolicy,
 )
 from repro.exceptions import TuningError
+from repro.optimizer.whatif import sequential_sum
 from repro.backend.base import CostBackend
 from repro.tuners.base import TuningSession
 
@@ -74,7 +76,9 @@ class MCTSSearch:
         self._rng = random.Random(0 if seed is None else seed)
         self._mdp = IndexTuningMDP(candidates, constraints)
         self._candidates = list(self._mdp.candidates)
-        self._amaf: dict[Index, ActionStats] = {}
+        # RAVE's all-moves-as-first statistics, over root action positions.
+        self._amaf_visits = np.zeros(0, dtype=np.int64)
+        self._amaf_returns = np.zeros(0)
         self._episode_cursor = 0
         self._policy = self._build_policy()
         self._priors: dict[Index, float] = {}
@@ -84,14 +88,16 @@ class MCTSSearch:
 
     # ------------------------------------------------------------------ #
 
-    def _rave_q(self, node: TreeNode, action: Index) -> float:
+    def _rave_q(self, node: TreeNode) -> np.ndarray:
         """Q̂ blended with the all-moves-as-first (RAVE) statistic."""
-        base = node.q_value(action)
-        amaf = self._amaf.get(action)
-        if amaf is None or amaf.visits == 0:
-            return base
+        base = node.q_values()
+        visits = self._amaf_visits[node.positions]
+        seen = visits > 0
+        amaf = np.divide(
+            self._amaf_returns[node.positions], visits, out=base.copy(), where=seen
+        )
         beta = self._config.rave_weight
-        return (1.0 - beta) * base + beta * amaf.q_value
+        return np.where(seen, (1.0 - beta) * base + beta * amaf, base)
 
     def _build_policy(self) -> SelectionPolicy:
         q_fn = self._rave_q if self._config.rave_weight > 0 else None
@@ -118,6 +124,17 @@ class MCTSSearch:
         """Episodes executed by the last :meth:`run`."""
         return self._episodes
 
+    @property
+    def end_reason(self) -> str | None:
+        """Why the last :meth:`run` stopped its episode loop.
+
+        ``"budget"`` (no counted call will be granted again),
+        ``"early_stop"`` (the budget policy halted the session),
+        ``"stall"`` (too many episodes in a row spent nothing) or
+        ``"episode_cap"``; ``None`` before :meth:`run`.
+        """
+        return self._session.end_reason
+
     # ------------------------------------------------------------------ #
 
     def run(self) -> tuple[frozenset[Index], list[tuple[int, frozenset[Index]]]]:
@@ -141,6 +158,9 @@ class MCTSSearch:
             self._priors,
         )
         self._rollout = RolloutPolicy(self._config, self._constraints, self._priors)
+        position_of = {index: i for i, index in enumerate(self._root.actions)}
+        self._amaf_visits = np.zeros(len(position_of), dtype=np.int64)
+        self._amaf_returns = np.zeros(len(position_of))
         tracker = BestExploredTracker(optimizer, self._constraints)
         baseline = optimizer.empty_workload_cost()
         # Run-local slice of the session history: run() keeps returning its
@@ -163,29 +183,38 @@ class MCTSSearch:
         stall_limit = 2000  # consecutive episodes without budget consumption
         stalled = 0
         self._episodes = 0
-        while self._episodes < episode_cap and not session.exhausted:
+        while True:
+            if session.exhausted:
+                end_reason = "early_stop" if session.stop_reason else "budget"
+                break
+            if self._episodes >= episode_cap:
+                end_reason = "episode_cap"
+                break
             self._episodes += 1
-            path: list[tuple[TreeNode, Index]] = []
+            path: list[tuple[TreeNode, int]] = []
             spent_before = session.calls_used
             configuration = self._sample_configuration(self._root, path)
             cost = self._evaluate_with_budget(configuration)
             if session.calls_used == spent_before:
                 stalled += 1
                 if stalled >= stall_limit:
+                    end_reason = "stall"
                     break
             else:
                 stalled = 0
             reward = 0.0
             if baseline > 0:
                 reward = max(0.0, min(1.0, 1.0 - cost / baseline))
-            for node, action in path:
-                node.update(action, reward)
+            for node, position in path:
+                node.update(position, reward)
             if self._config.rave_weight > 0:
                 for index in configuration:
-                    self._amaf.setdefault(index, ActionStats()).update(reward)
+                    self._amaf_visits[position_of[index]] += 1
+                    self._amaf_returns[position_of[index]] += reward
             if tracker.observe(configuration, cost):
                 session.checkpoint(tracker.best)
 
+        session.end_reason = end_reason
         session.phase("extraction")
         tracker.refresh()
         best = extract_best(
@@ -222,7 +251,7 @@ class MCTSSearch:
         )
 
     def _sample_configuration(
-        self, node: TreeNode, path: list[tuple[TreeNode, Index]]
+        self, node: TreeNode, path: list[tuple[TreeNode, int]]
     ) -> frozenset[Index]:
         """SampleConfiguration: selection / expansion / simulation."""
         while True:
@@ -231,15 +260,17 @@ class MCTSSearch:
             if node.is_leaf and not node.rolled_out:
                 node.rolled_out = True
                 return self._rollout.rollout(node.state, node.actions, self._rng)
-            action = self._policy.select(node, self._rng)
-            path.append((node, action))
-            child = node.children.get(action)
+            position = self._policy.select(node, self._rng)
+            path.append((node, position))
+            child = node.children.get(position)
             if child is None:
-                child_state = self._mdp.transition(node.state, action)
                 child = TreeNode.create(
-                    child_state, self._mdp.actions(child_state), self._priors
+                    self._mdp.transition(node.state, node.actions[position]),
+                    parent=node,
+                    taken=position,
+                    constraints=self._constraints,
                 )
-                node.children[action] = child
+                node.children[position] = child
             node = child
 
     def _pick_episode_query(self, queries, derived: list[float]):
@@ -265,7 +296,7 @@ class MCTSSearch:
         optimizer = self._optimizer
         workload = list(optimizer.workload)
         derived = optimizer.derived_query_costs(configuration)
-        total = sum(derived)
+        total = sequential_sum(derived)
         if not configuration:
             return total
         target = self._pick_episode_query(workload, derived)

@@ -10,6 +10,11 @@ Two policies are provided:
   (Equation 6): sample action ``a`` with probability proportional to
   ``Q̂(s,a)``, where unvisited actions carry the singleton-improvement
   prior computed by Algorithm 4.
+
+Policies work on a node's action arrays at once and return the *position*
+of the chosen action in ``node.actions``. Proportional draws — Equation 6
+here, prior-weighted rollouts in :mod:`repro.core.rollout` — all go through
+:func:`sample_proportional`.
 """
 
 from __future__ import annotations
@@ -19,27 +24,45 @@ import math
 import random
 from typing import Callable
 
-from repro.catalog import Index
+import numpy as np
+
 from repro.core.node import TreeNode
 
-#: Signature of an action-value accessor; defaults to ``node.q_value`` but a
-#: search may substitute a blended estimate (e.g. RAVE, Section 8).
-QFunction = Callable[[TreeNode, Index], float]
+#: Signature of an action-value accessor: ``Q̂(s, ·)`` for every action of a
+#: node. Defaults to :meth:`TreeNode.q_values`, but a search may substitute
+#: a blended estimate (e.g. RAVE, Section 8).
+QFunction = Callable[[TreeNode], np.ndarray]
 
 
-def _default_q(node: TreeNode, action: Index) -> float:
-    return node.q_value(action)
+def sample_proportional(weights: np.ndarray, rng: random.Random) -> int:
+    """Draw position ``i`` with probability ``weights[i] / Σ weights``.
+
+    One ``rng.random()`` draw is compared against the running sum: the
+    first position whose cumulative weight reaches ``u · total`` wins.
+    ``np.cumsum`` adds left to right, one element at a time, so ``total``
+    is the naive sum on every interpreter (``sum()`` compensates since
+    Python 3.12). All-zero weights fall back to a uniform ``rng.choice``.
+
+    Args:
+        weights: Non-negative weights (at least one).
+        rng: The search's random stream.
+    """
+    cumulative = np.cumsum(weights)
+    total = cumulative[-1]
+    if total <= 0.0:
+        return rng.choice(range(len(weights)))
+    return int(np.searchsorted(cumulative, rng.random() * total, side="left"))
 
 
 class SelectionPolicy(abc.ABC):
     """Strategy interface for SelectAction in Algorithm 3."""
 
     def __init__(self, q_fn: QFunction | None = None):
-        self._q = q_fn or _default_q
+        self._q = q_fn or TreeNode.q_values
 
     @abc.abstractmethod
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        """Pick an action from ``node.actions`` (non-empty)."""
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        """The position in ``node.actions`` (non-empty) of the chosen action."""
 
 
 class UCTPolicy(SelectionPolicy):
@@ -55,21 +78,19 @@ class UCTPolicy(SelectionPolicy):
     def exploration(self) -> float:
         return self._lambda
 
-    def score(self, node: TreeNode, action: Index) -> float:
-        """The UCB score of ``action`` at ``node`` (infinite when unvisited)."""
-        stats = node.stats[action]
-        if stats.visits == 0:
-            return math.inf
-        bonus = self._lambda * math.sqrt(
-            math.log(max(node.visits, 1)) / stats.visits
-        )
-        return self._q(node, action) + bonus
+    def scores(self, node: TreeNode) -> np.ndarray:
+        """The UCB score of every action at ``node`` (infinite when unvisited)."""
+        visits = node.visits
+        log_n = math.log(max(node.total_visits, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bonus = self._lambda * np.sqrt(log_n / visits)
+        return np.where(visits == 0, np.inf, self._q(node) + bonus)
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        unvisited = [a for a in node.actions if node.stats[a].visits == 0]
-        if unvisited:
-            return rng.choice(unvisited)
-        return max(node.actions, key=lambda a: self.score(node, a))
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        unvisited = np.flatnonzero(node.visits == 0)
+        if unvisited.size:
+            return int(rng.choice(unvisited))
+        return int(np.argmax(self.scores(node)))
 
 
 class EpsilonGreedyPriorPolicy(SelectionPolicy):
@@ -80,18 +101,8 @@ class EpsilonGreedyPriorPolicy(SelectionPolicy):
     Q̂ is zero (e.g. no priors computed and no rewards observed yet).
     """
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        weights = [max(0.0, self._q(node, a)) for a in node.actions]
-        total = sum(weights)
-        if total <= 0.0:
-            return rng.choice(node.actions)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for action, weight in zip(node.actions, weights, strict=True):
-            cumulative += weight
-            if cumulative >= threshold:
-                return action
-        return node.actions[-1]
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        return sample_proportional(np.maximum(self._q(node), 0.0), rng)
 
 
 class BoltzmannPolicy(SelectionPolicy):
@@ -112,15 +123,8 @@ class BoltzmannPolicy(SelectionPolicy):
     def temperature(self) -> float:
         return self._tau
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        values = [self._q(node, a) / self._tau for a in node.actions]
-        peak = max(values)
-        weights = [math.exp(v - peak) for v in values]
-        total = sum(weights)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for action, weight in zip(node.actions, weights, strict=True):
-            cumulative += weight
-            if cumulative >= threshold:
-                return action
-        return node.actions[-1]
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        values = self._q(node) / self._tau
+        # math.exp per element: np.exp is not guaranteed to round the same.
+        shifted = (values - values.max()).tolist()
+        return sample_proportional(np.array(list(map(math.exp, shifted))), rng)

@@ -11,14 +11,21 @@ itself is known. The restriction to singleton subsets (Equation 2) — the
 form for which the paper proves submodularity (Theorem 1) — is exposed as
 :meth:`CostDerivation.singleton_derived_cost`.
 
-The store keeps singleton observations in a per-query dict (O(|C|) probes)
-and larger observations in a per-query list scanned with subset tests; in
-budget-constrained runs the latter stays short (at most one entry per
-counted call on the query), keeping derivation cheap enough to be treated
-as "free" the way the paper does.
+The store keeps, per query, the empty-configuration cost, the singleton
+observations in a dict (``O(|C|)`` probes), and every larger observation
+as one ``(cost, bitmask)`` list sorted by cost, where each recorded index
+owns one bit. Derivation scans that list in cost order and stops at the
+first entry whose mask is a subset of ``C``'s — the minimum — or as soon as
+an entry's cost reaches the best singleton bound. Budgets do not keep the
+list short: MCTS on the 12-query toy workload (K = 10) leaves its busiest
+query with over 600 compound observations at B = 2000 and about 1,800 at
+B = 5000, so a full subset scan per derivation dominated episode time.
 """
 
 from __future__ import annotations
+
+import bisect
+from typing import Iterable
 
 from repro.catalog import Index
 
@@ -28,17 +35,30 @@ class CostDerivation:
 
     def __init__(self) -> None:
         self._exact: dict[tuple[str, frozenset[Index]], float] = {}
-        self._singletons: dict[str, dict[Index, float]] = {}
-        self._compound: dict[str, list[tuple[frozenset[Index], float]]] = {}
-        # Secondary index: compound entries per (qid, member index) — lets
-        # greedy probe "does adding z tighten d(q, C ∪ {z})?" in O(entries
-        # containing z) instead of scanning all compounds.
-        self._compound_by_member: dict[
-            tuple[str, Index], list[tuple[frozenset[Index], float]]
-        ] = {}
         self._empty: dict[str, float] = {}
+        self._singletons: dict[str, dict[Index, float]] = {}
+        # One bit per index seen in a compound observation.
+        self._bits: dict[Index, int] = {}
+        # Compound observations per query as (cost, mask), ascending.
+        self._compound: dict[str, list[tuple[float, int]]] = {}
+        # Per query: the union of its compound masks.
+        self._members: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
+
+    def mask(self, configuration: Iterable[Index]) -> int:
+        """The bitmask of ``configuration``'s indexes that own a bit.
+
+        Indexes without a bit appear in no compound observation, so
+        dropping them never changes a subset test.
+        """
+        bits = self._bits
+        mask = 0
+        for index in configuration:
+            bit = bits.get(index)
+            if bit is not None:
+                mask |= bit
+        return mask
 
     def record(self, qid: str, configuration: frozenset[Index], cost: float) -> None:
         """Record an observed what-if cost ``c(q, C)``."""
@@ -54,10 +74,15 @@ class CostDerivation:
             (index,) = configuration
             self._singletons.setdefault(qid, {})[index] = cost
         else:
-            entry = (configuration, cost)
-            self._compound.setdefault(qid, []).append(entry)
-            for member in configuration:
-                self._compound_by_member.setdefault((qid, member), []).append(entry)
+            bits = self._bits
+            mask = 0
+            for index in configuration:
+                mask |= bits.setdefault(index, 1 << len(bits))
+            entries = self._compound.setdefault(qid, [])
+            if previous is not None:
+                entries.remove((previous, mask))
+            bisect.insort(entries, (cost, mask))
+            self._members[qid] = self._members.get(qid, 0) | mask
 
     def known_cost(self, qid: str, configuration: frozenset[Index]) -> float | None:
         """The recorded what-if cost for the exact pair, if any."""
@@ -74,7 +99,11 @@ class CostDerivation:
     # ------------------------------------------------------------------ #
 
     def derived_cost(
-        self, qid: str, configuration: frozenset[Index], empty_cost: float
+        self,
+        qid: str,
+        configuration: frozenset[Index],
+        empty_cost: float,
+        mask: int | None = None,
     ) -> float:
         """``d(q, C)`` per Equation 1.
 
@@ -82,20 +111,25 @@ class CostDerivation:
             qid: Query id.
             configuration: The configuration to derive a cost for.
             empty_cost: ``c(q, ∅)`` — always a known subset cost.
+            mask: ``self.mask(configuration)``, when the caller derives
+                the same configuration for many queries.
         """
         best = self._empty.get(qid, empty_cost)
-        exact = self._exact.get((qid, configuration))
-        if exact is not None and exact < best:
-            best = exact
         singletons = self._singletons.get(qid)
         if singletons:
             for index in configuration:
                 cost = singletons.get(index)
                 if cost is not None and cost < best:
                     best = cost
-        for entry, cost in self._compound.get(qid, ()):
-            if cost < best and entry.issubset(configuration):
-                best = cost
+        entries = self._compound.get(qid)
+        if entries:
+            if mask is None:
+                mask = self.mask(configuration)
+            for cost, entry in entries:
+                if cost >= best:
+                    break
+                if entry & mask == entry:
+                    return cost
         return best
 
     def derived_cost_with_extra(
@@ -109,7 +143,7 @@ class CostDerivation:
 
         Only observations *containing* ``z`` can tighten the base value, so
         the probe touches the singleton entry for ``z`` plus the compound
-        entries listing ``z`` as a member.
+        entries whose mask holds ``z``'s bit.
         """
         best = base_derived
         singletons = self._singletons.get(qid)
@@ -117,9 +151,14 @@ class CostDerivation:
             cost = singletons.get(extra)
             if cost is not None and cost < best:
                 best = cost
-        for entry, cost in self._compound_by_member.get((qid, extra), ()):
-            if cost < best and entry.issubset(configuration_with_extra):
-                best = cost
+        bit = self._bits.get(extra, 0)
+        if self._members.get(qid, 0) & bit:
+            mask = self.mask(configuration_with_extra)
+            for cost, entry in self._compound[qid]:
+                if cost >= best:
+                    break
+                if entry & bit and entry & mask == entry:
+                    return cost
         return best
 
     def singleton_derived_cost(
@@ -145,7 +184,7 @@ class CostDerivation:
         singletons = self._singletons.get(qid)
         if singletons and index in singletons:
             return True
-        return (qid, index) in self._compound_by_member
+        return bool(self._members.get(qid, 0) & self._bits.get(index, 0))
 
     def singleton_costs(self, qid: str) -> dict[Index, float]:
         """All recorded singleton costs for ``qid`` (copy)."""

@@ -83,6 +83,20 @@ def config_key(configuration) -> frozenset[Index]:
     return frozenset(configuration)
 
 
+def sequential_sum(values):
+    """Add ``values`` left to right, one at a time.
+
+    Cost totals feed rewards, comparisons and golden pins, so they must not
+    depend on the interpreter: since Python 3.12 ``sum()`` of floats is
+    compensated and can differ in the last bits from this plain running
+    sum, which is what ``sum()`` computed before.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class WhatIfCall:
     """One counted what-if call, in issue order (a layout entry, Def. 1)."""
@@ -495,7 +509,7 @@ class WhatIfOptimizer:
 
     def empty_workload_cost(self) -> float:
         """``cost(W, ∅)`` summed over the workload (weighted)."""
-        return sum(q.weight * self.empty_cost(q) for q in self._workload)
+        return sequential_sum(q.weight * self.empty_cost(q) for q in self._workload)
 
     def is_cached(self, query: Query, configuration) -> bool:
         """Whether ``whatif_cost`` for this pair would be free."""
@@ -809,32 +823,35 @@ class WhatIfOptimizer:
     # ------------------------------------------------------------------ #
 
     def derived_cost(self, query: Query, configuration) -> float:
-        """``d(q, C)`` per Equation 1 — free, uses only known what-if costs."""
+        """``d(q, C)`` per Equation 1 — free, uses only known what-if costs.
+
+        Needs no key normalization: every recorded key is either ``∅`` or
+        a committed (already normalized) call key, so with normalization on
+        each lies inside ``relevant(q)`` and is a subset of ``C`` exactly
+        when it is a subset of ``C ∩ relevant(q)``.
+        """
         key = config_key(configuration)
-        norm = self._norm_key(self.prepared(query), key) if key else key
-        return self._derivation.derived_cost(query.qid, norm, self.empty_cost(query))
+        return self._derivation.derived_cost(query.qid, key, self.empty_cost(query))
 
     def derived_query_costs(self, configuration) -> list[float]:
         """Per-query *weighted* derived costs, in workload order (one pass).
 
         The batched form of :meth:`derived_cost` used by episode evaluation
-        hot loops; hoists the key normalization and store lookups out of the
-        per-query call chain.
+        hot loops: the configuration's bitmask is computed once for every
+        query.
         """
         key = config_key(configuration)
         derivation = self._derivation
-        out: list[float] = []
-        for query in self._workload:
-            norm = self._norm_key(self.prepared(query), key) if key else key
-            out.append(
-                query.weight
-                * derivation.derived_cost(query.qid, norm, self.empty_cost(query))
-            )
-        return out
+        mask = derivation.mask(key)
+        return [
+            query.weight
+            * derivation.derived_cost(query.qid, key, self.empty_cost(query), mask)
+            for query in self._workload
+        ]
 
     def derived_workload_cost(self, configuration) -> float:
         """``d(W, C)`` summed over the workload (weighted)."""
-        return sum(self.derived_query_costs(configuration))
+        return sequential_sum(self.derived_query_costs(configuration))
 
     # ------------------------------------------------------------------ #
     # evaluation-only access
@@ -878,4 +895,4 @@ class WhatIfOptimizer:
     def true_workload_cost(self, configuration) -> float:
         """Uncounted ground-truth workload cost (evaluation only)."""
         key = config_key(configuration)
-        return sum(q.weight * self.true_cost(q, key) for q in self._workload)
+        return sequential_sum(q.weight * self.true_cost(q, key) for q in self._workload)

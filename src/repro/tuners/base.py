@@ -113,6 +113,10 @@ class TuningSession:
         self._history: list[tuple[int, frozenset[Index]]] = []
         self._baseline: float | None = None
         self._stop_emitted = False
+        #: Why the tuner's search loop ended, for tuners that report it
+        #: (MCTS: ``"budget"``, ``"early_stop"``, ``"stall"`` or
+        #: ``"episode_cap"``); carried onto :attr:`TuningResult.end_reason`.
+        self.end_reason: str | None = None
         if (optimizer_config or ReproConfig.from_env()).sanitize:
             # Deferred import: the lint package is a consumer of the tuner
             # layer's public API, not a dependency of it.
@@ -292,6 +296,8 @@ class TuningResult:
         events: The session's structured event stream.
         stop_reason: Why the budget policy halted the session early
             (``None`` when it ran to completion).
+        end_reason: Why the tuner's search loop ended (MCTS only; ``None``
+            for other tuners) — see :attr:`TuningSession.end_reason`.
     """
 
     tuner: str
@@ -304,6 +310,7 @@ class TuningResult:
     optimizer: CostBackend | None = field(default=None, repr=False)
     events: list[SessionEvent] = field(default_factory=list, repr=False)
     stop_reason: str | None = None
+    end_reason: str | None = None
 
     @property
     def estimated_improvement(self) -> float:
@@ -458,6 +465,7 @@ class Tuner(abc.ABC):
             optimizer=optimizer,
             events=session.events.events,
             stop_reason=session.stop_reason,
+            end_reason=session.end_reason,
         )
 
     @staticmethod

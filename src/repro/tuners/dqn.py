@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.catalog import Index
 from repro.nn import MLP, ReplayBuffer, Transition
+from repro.optimizer.whatif import sequential_sum
 from repro.rng import make_np_rng
 from repro.tuners.base import Tuner, TuningSession
 
@@ -83,7 +84,7 @@ class NoDBATuner(Tuner):
             return state
 
         def evaluate(configuration: frozenset[Index]) -> float:
-            return sum(
+            return sequential_sum(
                 q.weight * session.evaluated_cost(q, configuration)
                 for q in workload
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.catalog import Index, index_sort_key
 from repro.config import TuningConstraints
 from repro.backend.base import CostBackend
+from repro.optimizer.whatif import sequential_sum
 from repro.tuners.base import Tuner, TuningSession, as_session
 from repro.workload.query import Workload
 
@@ -73,7 +74,7 @@ def greedy_enumerate(
 
     best_config: frozenset[Index] = frozenset()
     current = {q.qid: optimizer.empty_cost(q) for q in queries}
-    best_cost = sum(q.weight * current[q.qid] for q in queries)
+    best_cost = sequential_sum(q.weight * current[q.qid] for q in queries)
 
     # Once the budget is spent the derivation store is frozen: a (query,
     # index) pair with no recorded observation can never change the trial
@@ -138,7 +139,7 @@ def greedy_enumerate(
             optimizer.whatif_prefetch((query, best_config) for query in relevant[added])
         for query in relevant[added]:
             current[query.qid] = session.evaluated_cost(query, best_config)
-        best_cost = sum(q.weight * current[q.qid] for q in queries)
+        best_cost = sequential_sum(q.weight * current[q.qid] for q in queries)
         pool = [index for index in pool if index not in best_config]
         if checkpoints:
             session.checkpoint(best_config)

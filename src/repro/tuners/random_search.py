@@ -8,6 +8,7 @@ floor every principled algorithm must beat in tests and ablations.
 from __future__ import annotations
 
 from repro.catalog import Index
+from repro.optimizer.whatif import sequential_sum
 from repro.rng import make_rng
 from repro.tuners.base import Tuner, TuningSession
 
@@ -41,7 +42,7 @@ class RandomSearchTuner(Tuner):
             sample = frozenset(rng.sample(candidates, size))
             if not constraints.admits(sample):
                 continue
-            cost = sum(
+            cost = sequential_sum(
                 q.weight * session.evaluated_cost(q, sample) for q in workload
             )
             if cost < best_cost:

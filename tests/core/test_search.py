@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.budget import BudgetMeter, EarlyStopPolicy, FCFSPolicy
 from repro.config import MCTSConfig, TuningConstraints
 from repro.core.search import MCTSSearch
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.tuners import MCTSTuner, VanillaGreedyTuner
 
 
 def make_search(workload, candidates, budget=60, k=5, config=None, seed=0):
@@ -174,7 +176,7 @@ class TestUCTSlowProgress:
         )
         search.run()
         root = search.root
-        visit_counts = [root.stats[a].visits for a in root.actions]
+        visit_counts = root.visits.tolist()
         # No action is visited twice while siblings remain unvisited.
         if 0 in visit_counts:
             assert max(visit_counts) <= 1
@@ -201,3 +203,42 @@ class TestUCTSlowProgress:
         uct_depth = depth_of(MCTSConfig(selection_policy="uct", use_priors=False))
         prior_depth = depth_of(MCTSConfig())
         assert uct_depth <= prior_depth + 1
+
+
+class TestEndReason:
+    """Every search says why its episode loop stopped."""
+
+    def test_none_before_run(self, toy_workload, toy_candidates):
+        _, search = make_search(toy_workload, toy_candidates)
+        assert search.end_reason is None
+
+    def test_normal_run_ends_on_budget(self, toy_workload, toy_candidates):
+        optimizer, search = make_search(toy_workload, toy_candidates, budget=40)
+        search.run()
+        assert optimizer.calls_used == 40
+        assert search.end_reason == "budget"
+
+    def test_tiny_candidate_set_ends_without_spending_the_budget(
+        self, toy_workload, toy_candidates
+    ):
+        optimizer, search = make_search(
+            toy_workload, toy_candidates[:2], budget=10_000, k=2
+        )
+        search.run()
+        assert optimizer.calls_used < 10_000
+        assert search.end_reason in ("stall", "episode_cap")
+
+    def test_early_stop_policy(self, toy_workload):
+        # A plateau threshold no gain can meet stops at the first window.
+        policy = EarlyStopPolicy(
+            FCFSPolicy(BudgetMeter(400)), patience=1, min_delta=100.0
+        )
+        result = MCTSTuner(seed=0).tune(toy_workload, None, budget_policy=policy)
+        assert result.calls_used < 400
+        assert result.stop_reason is not None
+        assert result.end_reason == "early_stop"
+
+    def test_reported_on_the_result(self, toy_workload):
+        result = MCTSTuner(seed=0).tune(toy_workload, budget=40)
+        assert result.end_reason == "budget"
+        assert VanillaGreedyTuner().tune(toy_workload, budget=40).end_reason is None

@@ -143,3 +143,14 @@ class TestTrueCost:
     def test_explain_returns_plan(self, optimizer, toy_workload, toy_candidates):
         plan = optimizer.explain(toy_workload[0], frozenset(toy_candidates[:2]))
         assert plan.total_cost > 0
+
+
+class TestSequentialSum:
+    """Cost totals add left to right on every interpreter."""
+
+    def test_matches_a_plain_running_sum(self):
+        from repro.optimizer.whatif import sequential_sum
+
+        # A compensated sum (Python >= 3.12 sum()) gives exactly 1.0 here.
+        assert sequential_sum([0.1] * 10) == 0.9999999999999999
+        assert sequential_sum([]) == 0

@@ -92,6 +92,7 @@ class TestTuneFlags:
              "--selection", "uct", "--rollout", "random", "--extraction", "bce"]
         )
         assert code == 0
+        assert "search ended: budget" in capsys.readouterr().out
 
     def test_boltzmann_selection_flag(self, capsys):
         code = main(
