@@ -27,8 +27,6 @@ from repro.backend import (
     BackendSpec,
     CostBackend,
     NoisyBackend,
-    RecordingBackend,
-    ReplayBackend,
     build_backend,
 )
 from repro.catalog import (
@@ -122,8 +120,6 @@ __all__ = [
     "OptimizerError",
     "Query",
     "RandomSearchTuner",
-    "RecordingBackend",
-    "ReplayBackend",
     "ReproError",
     "SQLSyntaxError",
     "Schema",

@@ -8,10 +8,14 @@ name       engine
 ========== ==================================================================
 analytic   the simulated what-if optimizer (default, bit-identical baseline)
 noisy      analytic × seeded multiplicative noise (robustness studies)
-record     analytic + JSONL trace capture of every fresh cost
-replay     costs served from a trace — zero cost-model invocations
+replay     costs served from a recorded trace — zero cost-model invocations
 postgres   live Postgres planner over HypoPG hypothetical indexes
 ========== ==================================================================
+
+Giving any pricing backend a ``trace_path`` records every cost its
+session resolves to that trace; ``replay`` serves a trace back. Traces
+and the persistent what-if cache share one file format, the cost journal
+of :mod:`repro.backend.cache`.
 
 Resolve backends through :func:`build_backend` (or carry a picklable
 :class:`BackendSpec` across process boundaries); constructing
@@ -21,6 +25,7 @@ package and :mod:`repro.optimizer` is flagged by lint rule REP007.
 
 from repro.backend.analytic import AnalyticBackend
 from repro.backend.base import CostBackend
+from repro.backend.cache import PersistentWhatIfCache, canonical_key
 from repro.backend.factory import (
     BACKEND_NAMES,
     BACKENDS,
@@ -30,9 +35,6 @@ from repro.backend.factory import (
 )
 from repro.backend.noisy import NoisyBackend
 from repro.backend.postgres import PostgresBackend
-from repro.backend.record import RecordingBackend
-from repro.backend.replay import ReplayBackend
-from repro.backend.trace import TraceHeader, canonical_key, read_trace, write_trace
 
 __all__ = [
     "BACKENDS",
@@ -41,13 +43,9 @@ __all__ = [
     "BackendSpec",
     "CostBackend",
     "NoisyBackend",
+    "PersistentWhatIfCache",
     "PostgresBackend",
-    "RecordingBackend",
-    "ReplayBackend",
-    "TraceHeader",
     "build_backend",
     "canonical_key",
-    "read_trace",
     "resolve_spec",
-    "write_trace",
 ]

@@ -18,10 +18,11 @@ surface the stack consumes:
   hot-path counters.
 
 Concrete backends live beside this module: the analytic cost model
-(:class:`~repro.backend.analytic.AnalyticBackend`, the default), a seeded
-noisy variant (:class:`~repro.backend.noisy.NoisyBackend`), and the
-record/replay pair (:class:`~repro.backend.record.RecordingBackend`,
-:class:`~repro.backend.replay.ReplayBackend`). They are constructed through
+(:class:`~repro.backend.analytic.AnalyticBackend`, the default, which
+also serves ``replay``), a seeded noisy variant
+(:class:`~repro.backend.noisy.NoisyBackend`), and the live Postgres
+planner (:class:`~repro.backend.postgres.PostgresBackend`). They are
+constructed through
 :func:`~repro.backend.factory.build_backend`; constructing the raw
 :class:`~repro.optimizer.whatif.WhatIfOptimizer` outside this package is a
 boundary violation flagged by lint rule REP007.

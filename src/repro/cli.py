@@ -13,8 +13,7 @@ Examples:
     python -m repro tune --workload tpch --budget 300 --max-indexes 10
     python -m repro tune --workload tpch --budget 300 --seeds 5 --jobs 4
     python -m repro tune --workload tpcds --algo two_phase --minutes 30
-    python -m repro tune --workload tpch --budget 300 --backend record \\
-        --backend-trace trace.jsonl
+    python -m repro tune --workload tpch --budget 300 --backend-trace trace.jsonl
     python -m repro tune --workload tpch --budget 300 --backend replay \\
         --backend-trace trace.jsonl
     python -m repro load --workload toy --pg-dsn postgresql://localhost/repro
@@ -40,7 +39,7 @@ from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, run_experime
 from repro.eval.report import bench_payload
 from repro.eval.runner import ExperimentRunner
 from repro.eval.timemodel import WhatIfTimeModel
-from repro.exceptions import ReproError, TuningError
+from repro.exceptions import ReproError
 from repro.rng import spawn_seeds
 from repro.tuners import (
     AutoAdminGreedyTuner,
@@ -109,11 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            "which calls are granted)")
     tune.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                       help="cost backend (default: REPRO_BACKEND or analytic). "
-                           "record captures a what-if trace, replay serves one "
-                           "with zero cost-model calls, noisy perturbs costs")
+                           "replay serves a recorded trace with zero "
+                           "cost-model calls, noisy perturbs costs")
     tune.add_argument("--backend-trace", default=None, metavar="PATH",
-                      help="trace file the record backend writes / the replay "
-                           "backend reads (default: REPRO_BACKEND_TRACE)")
+                      help="trace file: --backend replay serves costs from "
+                           "it, any other backend records every cost to it "
+                           "(default: REPRO_BACKEND_TRACE)")
     tune.add_argument("--noise", type=float, default=None,
                       help="noise scale sigma for --backend noisy "
                            "(default: REPRO_NOISE or 0.1)")
@@ -272,10 +272,6 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
     if not overrides:
         return None
     config = ReproConfig.from_env()
-    name = overrides.get("name", config.backend)
-    trace = overrides.get("trace_path", config.backend_trace)
-    if name in ("record", "replay") and not trace:
-        raise TuningError(f"--backend {name} requires --backend-trace PATH")
     defaults = {
         "name": config.backend,
         "trace_path": config.backend_trace,
@@ -301,10 +297,6 @@ def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int
               file=sys.stderr)
         return 2
     backend = _backend_spec(args)
-    if backend is not None and backend.name == "record":
-        print("error: --backend record captures a single session's trace; "
-              "drop --seeds", file=sys.stderr)
-        return 2
 
     def factory(seed: int):
         return _ALGORITHMS[args.algo](
@@ -422,21 +414,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     else:
         print("no indexes recommended")
     optimizer = result.optimizer
-    if (
-        optimizer is not None
-        and hasattr(optimizer, "save_trace")
-        # The postgres backend only records (and can only save) when a
-        # trace destination was configured; replay has no save_trace.
-        and getattr(optimizer, "trace_path", None) is not None
-    ):
-        # Save after true_improvement() above so the trace also covers the
-        # ground-truth pricings a replay of this session will need.
-        written = optimizer.save_trace()
-        print(f"what-if trace: {written} cost lines -> {optimizer.trace_path}")
     if optimizer is not None:
-        # Flush the persistent what-if cache (if any) and release pricing
-        # threads / pooled connections.
+        # Flush the cost journals and release pricing threads / pooled
+        # connections. Closing after true_improvement() above lets a
+        # recorded trace cover the ground-truth pricings its replay needs.
         optimizer.close()
+        trace = optimizer.trace
+        if trace is not None and trace.mode == "record":
+            print(f"what-if trace: {len(trace)} cost lines -> {trace.path}")
     return 0
 
 

@@ -30,7 +30,7 @@ _BUDGET_POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 #: :data:`repro.backend.factory.BACKEND_NAMES` (kept literal here so the
 #: config layer never imports the backend package — the backend package
 #: imports this module).
-_BACKEND_NAMES = ("analytic", "noisy", "record", "replay", "postgres")
+_BACKEND_NAMES = ("analytic", "noisy", "replay", "postgres")
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ class ReproConfig:
         backend: Default cost backend for tuning sessions — ``"analytic"``
             (the simulated optimizer, bit-identical baseline), ``"noisy"``
             (seeded multiplicative perturbation for robustness studies),
-            ``"record"`` (analytic plus a JSONL trace of every fresh cost),
-            or ``"replay"`` (serve costs from a trace; zero cost-model
-            invocations). **Semantic knob** for ``"noisy"``: perturbed
-            costs change tuner decisions by design.
-        backend_trace: Trace path for the record/replay backends (required
-            by both, unused by the others).
+            ``"replay"`` (serve costs from a trace; zero cost-model
+            invocations), or ``"postgres"``. **Semantic knob** for
+            ``"noisy"``: perturbed costs change tuner decisions by design.
+        backend_trace: Trace file. With ``"replay"`` it is the only source
+            of costs (required); with any other backend every cost the
+            session resolves is recorded to it.
         noise: Relative noise level σ of the noisy backend; each non-empty
             (query, configuration) cost is multiplied by ``exp(σ·z)`` with
             ``z`` a seeded standard normal. ``0`` reproduces the analytic

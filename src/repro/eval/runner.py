@@ -164,20 +164,21 @@ class ExperimentRunner:
     def _check_backend(backend: BackendSpec | str | None) -> BackendSpec | None:
         """Validate a grid-level backend selection.
 
-        The record backend captures *one session's* trace; a grid of
-        independent runs would overwrite the file per cell, so it is
-        rejected here (record with ``repro tune --backend record``).
+        A recording session writes *one* trace; a grid of independent
+        runs would overwrite the file per cell, so a ``trace_path`` on any
+        backend but replay is rejected here — including one that reaches
+        the cells from ``REPRO_BACKEND_TRACE`` (record a single session
+        with ``repro tune --backend-trace``).
         """
-        if backend is None:
-            return None
-        spec = backend if isinstance(backend, BackendSpec) else resolve_spec(backend)
-        if spec.name == "record":
+        spec = resolve_spec(backend)
+        if spec.records:
             raise TuningError(
-                "the record backend captures a single session's trace; "
-                "record with `repro tune --backend record`, not in an "
-                "experiment grid"
+                "recording a what-if trace captures a single session; a "
+                "grid of runs would overwrite it — drop --backend-trace "
+                "(REPRO_BACKEND_TRACE) or record one session with "
+                "`repro tune --backend-trace`"
             )
-        return spec
+        return None if backend is None else spec
 
     def _cell_specs(
         self,
@@ -317,7 +318,7 @@ class ExperimentRunner:
                 config default, FCFS).
             backend: Optional cost-backend selection (name or picklable
                 spec) applied to every seed (``None`` keeps the config
-                default, analytic). The record backend is rejected — see
+                default, analytic). A recording spec is rejected — see
                 :meth:`_check_backend`.
         """
         backend = self._check_backend(backend)

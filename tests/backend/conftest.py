@@ -37,13 +37,13 @@ def toy_trace(tmp_path_factory, toy_workload, toy_candidates):
     """A trace covering the whole conformance universe for every query."""
     path = tmp_path_factory.mktemp("backend") / "toy_trace.jsonl"
     recorder = build_backend(
-        BackendSpec(name="record", trace_path=str(path)), toy_workload
+        BackendSpec(name="analytic", trace_path=str(path)), toy_workload
     )
     for query in toy_workload:
         for config in covered_configs(toy_candidates):
             recorder.whatif_cost(query, config)
         recorder.true_workload_cost(covered_configs(toy_candidates)[-1])
-    recorder.save_trace()
+    recorder.close()
     return path
 
 
@@ -73,7 +73,10 @@ def counting_pairs(toy_workload, universe):
     return pairs
 
 
-@pytest.fixture(params=sorted(BACKEND_NAMES))
+#: Conformance cells: every registered backend, plus ``record`` — the
+#: analytic engine recording a trace (``trace_path``), which must honour
+#: the same contract as the session it observes.
+@pytest.fixture(params=sorted((*BACKEND_NAMES, "record")))
 def backend_name(request):
     return request.param
 
@@ -105,7 +108,7 @@ def make_backend(request, backend_name, toy_workload, toy_trace, tmp_path):
     def make(budget=None, **kwargs):
         if backend_name == "record":
             spec = BackendSpec(
-                name="record", trace_path=str(tmp_path / "recorded.jsonl")
+                name="analytic", trace_path=str(tmp_path / "recorded.jsonl")
             )
         elif backend_name == "replay":
             spec = BackendSpec(name="replay", trace_path=str(toy_trace))

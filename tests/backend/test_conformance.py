@@ -1,25 +1,27 @@
 """Backend conformance: every registered backend honors the CostBackend contract.
 
-Parametrized over the full :data:`repro.backend.BACKEND_NAMES` registry via
-the ``make_backend`` fixture. The contract under test: counted-call
-accounting, budget denial, cost-observer ordering against the call log,
-instance-independent determinism, and (where the backend declares it)
-cost monotonicity.
+Parametrized over the full :data:`repro.backend.BACKEND_NAMES` registry,
+plus a recording analytic session, via the ``make_backend`` fixture. The
+contract under test: counted-call accounting, budget denial,
+cost-observer ordering against the call log, instance-independent
+determinism, and (where the backend declares it) cost monotonicity.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backend import BACKEND_NAMES, BACKENDS, CostBackend
+from repro.backend import BACKEND_NAMES, BACKENDS, AnalyticBackend, CostBackend
 from repro.exceptions import BudgetExhaustedError
 
 
 def test_registry_is_consistent():
     assert tuple(BACKENDS) == BACKEND_NAMES
     for name, cls in BACKENDS.items():
-        assert cls.name == name
+        # replay is the analytic engine serving a trace instead of pricing.
+        assert cls.name == (AnalyticBackend.name if name == "replay" else name)
         assert isinstance(cls.monotonic, bool)
+    assert "record" not in BACKEND_NAMES
 
 
 def test_satisfies_the_protocol(make_backend):

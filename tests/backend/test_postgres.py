@@ -553,13 +553,16 @@ class TestPostgresBackend:
         assert cost > 0
         assert failures["left"] == 0
 
-    def test_save_trace_requires_destination(self, make_pg):
-        with pytest.raises(TuningError, match="backend-trace"):
-            make_pg().save_trace()
+    def test_records_nothing_without_a_trace_path(self, make_pg, toy_workload):
+        backend = make_pg()
+        backend.whatif_cost(toy_workload.queries[0], frozenset())
+        backend.close()
+        assert backend.trace is None
+        assert not hasattr(backend, "save_trace")
 
 
 # --------------------------------------------------------------------- #
-# record on postgres -> replay offline, bit-identically
+# record on postgres (trace_path) -> replay offline, bit-identically
 # --------------------------------------------------------------------- #
 
 
@@ -577,16 +580,17 @@ class TestTraceComposition:
             toy_workload,
             connector=lambda dsn: FakeConnection(server),
         )
-        assert recorder.trace_path == trace
         configs = [frozenset(), frozenset(fact_indexes[:1]), frozenset(fact_indexes)]
         live = [
             recorder.whatif_cost(query, config)
             for query in toy_workload.queries
             for config in configs
         ]
+        assert recorder.trace.path == trace
         recorder.close()  # flushes the trace
         assert trace.exists()
-        assert recorder.recorded_pairs > 0
+        assert len(recorder.trace) > 0
+        assert recorder.trace.identity["backend"] == "postgres"
 
         # Replay must never touch the analytic model or the server.
         from repro.optimizer.cost_model import CostModel
@@ -606,6 +610,70 @@ class TestTraceComposition:
         ]
         assert replayed == live
         assert server.connects == connects_before
+        # A real planner's costs carry no monotonicity promise into replay.
+        assert replayer.monotonic is False
+
+    def test_recorded_session_replays_bit_for_bit(
+        self, server, toy_workload, tmp_path, monkeypatch
+    ):
+        from repro.optimizer.cost_model import CostModel
+        from repro.tuners import VanillaGreedyTuner
+
+        trace = tmp_path / "pg-session.jsonl"
+        recorded = build_backend(
+            BackendSpec(
+                name="postgres", pg_dsn="postgresql://fake/db", trace_path=str(trace)
+            ),
+            toy_workload,
+            budget=30,
+            connector=lambda dsn: FakeConnection(server),
+        )
+        configuration = VanillaGreedyTuner().tune(
+            toy_workload, budget=None, backend=recorded
+        ).configuration
+        truth = recorded.true_workload_cost(configuration)
+        recorded.close()
+        assert recorded.calls_used > 0
+
+        def boom(*args, **kwargs):
+            raise AssertionError("replay must not price anything")
+
+        monkeypatch.setattr(CostModel, "cost", boom)
+        connects_before = server.connects
+        replayer = build_backend(
+            BackendSpec(name="replay", trace_path=str(trace)), toy_workload, budget=30
+        )
+        replayed = VanillaGreedyTuner().tune(
+            toy_workload, budget=None, backend=replayer
+        ).configuration
+        assert replayed == configuration
+        assert [
+            (c.ordinal, c.qid, c.configuration, c.cost) for c in replayer.call_log
+        ] == [(c.ordinal, c.qid, c.configuration, c.cost) for c in recorded.call_log]
+        assert replayer.true_workload_cost(configuration) == truth
+        assert server.connects == connects_before
+
+    def test_recording_is_refused_for_a_multi_session_grid(
+        self, server, toy_workload, toy_candidates, tmp_path
+    ):
+        from repro.config import TuningConstraints
+        from repro.eval.runner import ExperimentRunner
+        from repro.tuners import VanillaGreedyTuner
+
+        trace = tmp_path / "pg-trace.jsonl"
+        runner = ExperimentRunner(toy_workload, toy_candidates, seeds=[1, 2, 3])
+        with pytest.raises(TuningError, match="single session"):
+            runner.run_cell(
+                lambda seed: VanillaGreedyTuner(),
+                20,
+                TuningConstraints(max_indexes=3),
+                stochastic=True,
+                backend=BackendSpec(
+                    name="postgres", pg_dsn="postgresql://fake/db", trace_path=str(trace)
+                ),
+            )
+        assert not trace.exists()
+        assert server.connects == 0
 
     def test_replay_misses_raise_instead_of_falling_back(
         self, server, toy_workload, fact_indexes, tmp_path

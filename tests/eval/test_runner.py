@@ -1,7 +1,11 @@
 """Experiment runner tests."""
 
+import pytest
+
+from repro.backend import BackendSpec, build_backend
 from repro.config import TuningConstraints
 from repro.eval.runner import ExperimentRunner
+from repro.exceptions import TuningError
 from repro.tuners import MCTSTuner, VanillaGreedyTuner
 
 
@@ -128,3 +132,52 @@ class TestBudgetPolicies:
             budget_policy="wii",
         )
         assert [r.budget_policy for r in records] == ["wii"]
+
+
+class TestRecordingInGrids:
+    """A trace records one session; a grid would overwrite it per cell."""
+
+    def test_recording_spec_is_refused(self, toy_workload, toy_candidates, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        runner = ExperimentRunner(toy_workload, candidates=toy_candidates, seeds=[1, 2])
+        spec = BackendSpec(name="analytic", trace_path=str(trace))
+        with pytest.raises(TuningError, match="single session"):
+            runner.run_grid(
+                {"vanilla": (lambda seed: VanillaGreedyTuner(), False)},
+                budgets=[20],
+                k_values=[2],
+                backend=spec,
+            )
+        with pytest.raises(TuningError, match="single session"):
+            runner.run_cell(
+                lambda seed: VanillaGreedyTuner(),
+                budget=20,
+                constraints=TuningConstraints(max_indexes=2),
+                backend=spec,
+            )
+        assert not trace.exists()
+
+    def test_trace_from_the_environment_is_refused(
+        self, toy_workload, toy_candidates, tmp_path, monkeypatch
+    ):
+        trace = tmp_path / "t.jsonl"
+        monkeypatch.setenv("REPRO_BACKEND_TRACE", str(trace))
+        runner = ExperimentRunner(toy_workload, candidates=toy_candidates, seeds=[1])
+        with pytest.raises(TuningError, match="single session"):
+            runner.run_cell(
+                lambda seed: VanillaGreedyTuner(),
+                budget=20,
+                constraints=TuningConstraints(max_indexes=2),
+            )
+        assert not trace.exists()
+
+    def test_replay_spec_is_allowed(self, toy_workload, toy_candidates, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        recorder = build_backend(
+            BackendSpec(name="analytic", trace_path=str(trace)), toy_workload
+        )
+        recorder.empty_workload_cost()
+        recorder.close()
+        runner = ExperimentRunner(toy_workload, candidates=toy_candidates, seeds=[1])
+        spec = BackendSpec(name="replay", trace_path=str(trace))
+        assert runner._check_backend(spec) is spec
