@@ -27,7 +27,7 @@ then one line per (query, normalized configuration), sorted::
 for the empty one. Python's JSON float round-trip is exact, so recalled
 and replayed costs are bit-identical to priced ones.
 
-Discipline (REP001/REP101): journals sit at the *pricing* seam, below the
+Discipline (REP101): journals sit at the *pricing* seam, below the
 in-memory what-if cache and the budget policy. A recalled or replayed
 cost replaces the cost-model (or EXPLAIN round-trip) work of a call —
 never its budget charge, cache commit, call-log entry, or ``whatif_call``
@@ -41,13 +41,14 @@ DSN/schema/server identity. Any change lands in a fresh cache shard, so
 stale costs are unreachable rather than detected; replay checks the
 recorded workload fingerprint instead.
 
-Concurrent writers: seed workers share a cache shard. A new shard is
-written to a temporary file in the same directory and hard-linked into
-place, so of two writers that both found no shard one creates it and the
-other appends to it (on a filesystem without hard links the file is
-replaced instead). A stale or foreign shard, and a recorded trace, are
-replaced whole with ``os.replace``; a version-1 cache shard is not stale,
-and is appended to. Appends are one write of whole lines.
+Concurrent writers: seed workers share a cache shard. A cache flush holds
+an exclusive ``flock`` on the cache directory while it re-reads the
+shard's header and then either appends (the header is ours; a version-1
+cache shard counts) or writes a temporary file in the same directory and
+moves it into place with ``os.replace`` (the shard is missing, stale or
+foreign). So of two writers that both found no usable shard, one creates
+it and the other appends to it, and no lock file is left behind. A
+recorded trace is replaced whole. Appends are one write of whole lines.
 Every line is a JSON object that ends with its closing brace, so a torn
 or spliced line does not parse, and the cache loader skips it.
 """
@@ -55,6 +56,7 @@ or spliced line does not parse, and the cache loader skips it.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -202,9 +204,9 @@ class PersistentWhatIfCache:
             self._dir = self._path.parent
         self._costs: dict[tuple[str, TraceKey], float] | None = None
         self._fresh: dict[tuple[str, TraceKey], float] = {}
-        #: How the next flush reaches the file: "append" to a shard that
-        #: holds our header, "create" a missing shard, or "replace" the file.
-        self._disk = "replace"
+        #: Whether the file is known to start with our header, so that a
+        #: flush appends to it.
+        self._ours = False
         if mode == RECORD:
             self._costs = {}
         elif mode == REPLAY:
@@ -242,7 +244,6 @@ class PersistentWhatIfCache:
         except OSError as exc:
             if strict:
                 raise TraceError(f"cannot read trace {self._path}: {exc}") from exc
-            self._disk = "create"
             return costs
         header_ok = False
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -266,11 +267,12 @@ class PersistentWhatIfCache:
                     break
                 # A torn concurrent append: drop the partial line.
         if header_ok:
-            self._disk = "append"
+            self._ours = True
         elif strict:
             raise TraceError(f"{self._path}: trace has no header line")
         # Otherwise a foreign or stale file sits at our shard name: ignore
-        # its contents and replace it wholesale on the next flush.
+        # its contents; the next flush replaces it unless another writer
+        # has done so first.
         return costs
 
     def _check_header(self, entry: dict) -> None:
@@ -343,45 +345,64 @@ class PersistentWhatIfCache:
         with open(self._path, "ab", buffering=0) as handle:
             handle.write(text.encode("utf-8"))
 
+    def _holds_our_header(self) -> bool:
+        """Whether the file on disk now starts with our header."""
+        try:
+            with open(self._path, encoding="utf-8") as handle:
+                self._check_header(json.loads(handle.readline()))
+        except (OSError, KeyError, TypeError, ValueError):
+            return False
+        return True
+
+    def _replace(self) -> None:
+        """Write the header and every entry, sorted, over the file."""
+        temp = self._dir / f".{self._path.name}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(temp, "x", encoding="utf-8") as out:
+                out.write(self._header_line() + "\n" + self._lines(self._costs))
+            os.replace(temp, self._path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
+
     def flush(self) -> int:
         """Write queued entries to the file; returns the cost lines written.
 
         A cache shard that holds our header gets the new entries appended.
         Otherwise the header and every entry, sorted (deterministic files
-        for deterministic runs), go to a temporary file that is moved into
-        place: linked to a missing shard — appending to it instead if
-        another writer created it meanwhile — or swapped over a stale
-        shard or a recorded trace. Replay journals never write.
+        for deterministic runs), go to a temporary file that replaces the
+        shard or the recorded trace. In cache mode the header check and
+        the write happen under an exclusive lock on the directory, so a
+        shard another writer has just created is appended to, not
+        replaced. Replay journals never write.
         """
         if self._costs is None or self._mode == REPLAY:
             return 0
-        if not self._fresh and self._disk == "append":
+        if not self._fresh and self._ours:
             return 0
         self._dir.mkdir(parents=True, exist_ok=True)
-        if self._mode == CACHE and self._disk == "append":
-            self._append(self._lines(self._fresh))
-            written = len(self._fresh)
-        else:
-            lines = self._lines(self._costs)
-            temp = self._dir / f".{self._path.name}.{uuid.uuid4().hex}.tmp"
-            try:
-                with open(temp, "x", encoding="utf-8") as out:
-                    out.write(self._header_line() + "\n" + lines)
-                if self._mode == RECORD or self._disk == "replace":
-                    os.replace(temp, self._path)
-                else:
-                    try:
-                        os.link(temp, self._path)
-                    except FileExistsError:
-                        self._append(lines)
-                    except OSError:
-                        # No hard links here (vfat, some network mounts):
-                        # replace, and two first writers may race again.
-                        os.replace(temp, self._path)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(temp)
+        if self._mode == RECORD:
+            self._replace()
             written = len(self._costs)
+        else:
+            with _locked(self._dir):
+                if self._ours or self._holds_our_header():
+                    self._append(self._lines(self._fresh))
+                    written = len(self._fresh)
+                else:
+                    self._replace()
+                    written = len(self._costs)
         self._fresh = {}
-        self._disk = "append"
+        self._ours = True
         return written
+
+
+@contextlib.contextmanager
+def _locked(directory: Path):
+    """Hold an exclusive ``flock`` on ``directory`` itself (no lock file)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the lock

@@ -219,7 +219,7 @@ class ConnectionPool:
                     finalize(conn)
                 # Teardown only: no counted call runs here, and a failed
                 # hypopg_reset must not mask the session's real outcome.
-                except Exception:  # repro-lint: off[REP002]
+                except Exception:  # repro-lint: off[REP104]
                     pass
             _close_quietly(conn)
 
@@ -229,5 +229,5 @@ def _close_quietly(conn) -> None:
         conn.close()
     # A connection that fails to close is already gone; no budget-counted
     # call can raise through close().
-    except Exception:  # repro-lint: off[REP002]
+    except Exception:  # repro-lint: off[REP104]
         pass

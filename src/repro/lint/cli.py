@@ -1,11 +1,9 @@
 """``python -m repro.lint`` — run the budget-safety/determinism linter.
 
 Usage:
-    python -m repro.lint src/                 # per-file rules only
-    python -m repro.lint src/ --flow          # + whole-program flow rules
+    python -m repro.lint src/                 # every rule, one pass
     python -m repro.lint src/ --format sarif  # code-scanning upload payload
-    python -m repro.lint src/ --select REP004,REP005 --ignore REP005
-    python -m repro.lint src/ --flow --jobs 4 --cache .repro-lint-cache.json
+    python -m repro.lint src/ --select REP004,REP104 --ignore REP104
     python -m repro.lint src/ --write-baseline lint-baseline.json
     python -m repro.lint --list-rules
 
@@ -21,16 +19,9 @@ import sys
 from pathlib import Path
 
 from repro.lint.baseline import DEFAULT_BASELINE, Baseline
-from repro.lint.engine import (
-    FLOW_RULE_IDS,
-    REGISTRY,
-    UNKNOWN_SUPPRESSION_RULE,
-    LintEngine,
-)
+from repro.lint.engine import REGISTRY, LintEngine
+from repro.lint.flow.rules import FLOW_REGISTRY
 from repro.lint.reporters import report_json, report_text
-
-# Importing the rules module populates the registry.
-from repro.lint import rules as _rules  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "Budget-safety & determinism static analysis "
-            "(per-file REP001-REP007, whole-program REP101-REP106)"
+            "(per-file REP004, REP005, REP007; whole-program REP101-REP106)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -52,17 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--exclude", default=None, metavar="SEGMENTS",
                         help="comma-separated directory names whose findings "
                              "are dropped (e.g. fixtures,fixtures_flow)")
-    parser.add_argument("--flow", action="store_true",
-                        help="also run the whole-program flow rules "
-                             "(REP101-REP106)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for parsing/indexing "
-                             "(default 1 = serial)")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="flow summary cache file (use with --flow; "
-                             "warm runs re-index only changed files)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore/skip the flow summary cache")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="baseline file of accepted findings "
                              f"(default: ./{DEFAULT_BASELINE} when present)")
@@ -77,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "replaced)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
-    parser.add_argument("--stats", action="store_true",
-                        help="print flow cache/re-index statistics to stderr")
     return parser
 
 
@@ -88,34 +66,11 @@ def _split_rules(raw: str | None) -> list[str] | None:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _partition_select(
-    select: list[str] | None,
-) -> tuple[list[str] | None, set[str] | None]:
-    """Split ``--select`` into engine rule ids and flow rule ids.
-
-    Returns ``(engine_select, flow_select)``; ``None`` means "all". Unknown
-    ids raise ``ValueError``.
-    """
-    if select is None:
-        return None, None
-    engine_ids = set(REGISTRY) | {UNKNOWN_SUPPRESSION_RULE}
-    flow_ids = set(FLOW_RULE_IDS)
-    unknown = [r for r in select if r not in engine_ids | flow_ids]
-    if unknown:
-        raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-    return (
-        [r for r in select if r in engine_ids],
-        {r for r in select if r in flow_ids},
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.lint.flow.rules import FLOW_REGISTRY
-
         for rule_id in sorted(REGISTRY):
             rule = REGISTRY[rule_id]
             scope = ",".join(rule.scope) if rule.scope else "everywhere"
@@ -128,25 +83,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("repro.lint: error: no paths given", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("repro.lint: error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
-    select = _split_rules(args.select)
-    ignore = _split_rules(args.ignore)
     try:
-        engine_select, flow_select = _partition_select(select)
-        engine_ignore, flow_ignore = _partition_select(ignore)
-        engine = LintEngine(select=engine_select, ignore=engine_ignore)
+        engine = LintEngine(
+            select=_split_rules(args.select), ignore=_split_rules(args.ignore)
+        )
     except ValueError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return 2
-    if flow_select:
-        # Selecting a flow rule implies running the flow analyzer.
-        args.flow = True
-    flow_run = set(FLOW_RULE_IDS) if flow_select is None else set(flow_select)
-    if flow_ignore:
-        flow_run -= flow_ignore
 
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
@@ -156,27 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    findings = engine.check_paths(args.paths, jobs=args.jobs)
-
-    if args.flow and flow_run:
-        from repro.lint.flow.rules import analyze_paths
-
-        cache_path = None if args.no_cache else args.cache
-        flow_findings, stats = analyze_paths(
-            args.paths,
-            select=flow_run,
-            jobs=args.jobs,
-            cache_path=cache_path,
-        )
-        findings.extend(flow_findings)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        if args.stats:
-            print(
-                f"repro.lint: flow: {stats.total_files} file(s), "
-                f"{len(stats.reindexed)} re-indexed, "
-                f"{stats.from_cache} from cache",
-                file=sys.stderr,
-            )
+    findings = engine.check_paths(args.paths)
 
     excluded = _split_rules(args.exclude)
     if excluded:

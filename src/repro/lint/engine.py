@@ -1,10 +1,12 @@
-"""The ``repro.lint`` rule engine: visitor framework and rule registry.
+"""The ``repro.lint`` rule engine: one pass over a program.
 
-Rules are :class:`ast.NodeVisitor` subclasses registered with
-:func:`register`. The engine parses each file once, instantiates every
-selected rule whose path scope matches, runs it over the tree, and filters
-the collected findings through the per-line suppression table
-(:mod:`repro.lint.suppressions`).
+The engine parses each file once. Per-file rules — :class:`ast.NodeVisitor`
+subclasses registered with :func:`register` — run over the tree when their
+path scope matches, and the same tree is summarized for the whole-program
+rules of :mod:`repro.lint.flow`, which run once every file is read. Both
+kinds of finding are filtered through the per-line suppression table
+(:mod:`repro.lint.suppressions`), and ``select``/``ignore`` choose among
+every rule id alike.
 
 Path scoping uses directory segments, not package imports, so the same
 rules run unchanged over ``src/repro/...`` and over the test fixture tree
@@ -18,7 +20,15 @@ from pathlib import PurePosixPath
 from typing import ClassVar, Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.suppressions import ALL_RULES, is_suppressed, parse_suppressions
+from repro.lint.flow.index import ProjectIndex, iter_python_files, module_name
+from repro.lint.flow.rules import FLOW_REGISTRY, run_flow_rules
+from repro.lint.flow.summary import FileSummary, summarize
+from repro.lint.suppressions import (
+    ALL_RULES,
+    is_suppressed,
+    parse_raw_suppressions,
+    parse_suppressions,
+)
 
 #: Rule id reserved for files the engine cannot parse.
 SYNTAX_RULE = "REP000"
@@ -27,14 +37,10 @@ SYNTAX_RULE = "REP000"
 #: a typo'd rule id in a suppression must warn, not silently pass.
 UNKNOWN_SUPPRESSION_RULE = "REP008"
 
-#: The whole-program flow rules (implemented in :mod:`repro.lint.flow`);
-#: listed here so suppressions naming them are recognized as known.
-FLOW_RULE_IDS = ("REP101", "REP102", "REP103", "REP104", "REP105", "REP106")
-
 
 def known_rule_ids() -> frozenset[str]:
     """Every rule id a suppression comment may legitimately name."""
-    return frozenset(REGISTRY) | frozenset(FLOW_RULE_IDS) | {
+    return frozenset(REGISTRY) | frozenset(FLOW_REGISTRY) | {
         SYNTAX_RULE,
         UNKNOWN_SUPPRESSION_RULE,
     }
@@ -55,7 +61,7 @@ class Rule(ast.NodeVisitor):
     """Base class for lint rules.
 
     Class attributes:
-        rule_id: Stable identifier (``"REP001"`` ... ).
+        rule_id: Stable identifier (``"REP004"`` ... ).
         title: One-line summary used by ``--list-rules`` and docs.
         scope: Only run on files under a directory named like one of these
             segments (``None`` = every file).
@@ -113,10 +119,10 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 
 
 class LintEngine:
-    """Runs a set of rules over files and directories.
+    """Runs a set of per-file and whole-program rules over a program.
 
     Args:
-        select: Rule ids to run (default: every registered rule).
+        select: Rule ids to run (default: every rule).
         ignore: Rule ids to skip — the complement of ``select``; applied
             after it, so ``select={A, B}, ignore={B}`` runs only A.
     """
@@ -126,65 +132,78 @@ class LintEngine:
         select: Iterable[str] | None = None,
         ignore: Iterable[str] | None = None,
     ):
-        selectable = set(REGISTRY) | {UNKNOWN_SUPPRESSION_RULE}
-        if select is None:
-            chosen = set(REGISTRY)
-            self._warn_unknown_suppressions = True
-        else:
-            unknown = [rule for rule in select if rule not in selectable]
-            if unknown:
-                raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-            chosen = set(select) & set(REGISTRY)
-            self._warn_unknown_suppressions = UNKNOWN_SUPPRESSION_RULE in set(select)
+        selectable = set(REGISTRY) | set(FLOW_REGISTRY) | {UNKNOWN_SUPPRESSION_RULE}
+        chosen = selectable if select is None else _known(select, selectable)
         if ignore is not None:
-            unknown = [rule for rule in ignore if rule not in selectable]
-            if unknown:
-                raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-            chosen -= set(ignore)
-            if UNKNOWN_SUPPRESSION_RULE in set(ignore):
-                self._warn_unknown_suppressions = False
-        self._rules = [REGISTRY[key] for key in sorted(chosen)]
-
-    @property
-    def rules(self) -> list[type[Rule]]:
-        return list(self._rules)
+            chosen = chosen - _known(ignore, selectable)
+        self._rules = [REGISTRY[key] for key in sorted(chosen & set(REGISTRY))]
+        self._flow_rules = chosen & set(FLOW_REGISTRY)
+        self._warn_unknown_suppressions = UNKNOWN_SUPPRESSION_RULE in chosen
 
     def check_source(self, source: str, path: str) -> list[Finding]:
-        """Lint one module given as text; ``path`` drives rule scoping."""
+        """Lint one module given as text, as a program of its own;
+        ``path`` drives rule scoping."""
         posix = PurePosixPath(path).as_posix()
-        try:
-            tree = ast.parse(source, filename=posix)
-        except SyntaxError as error:
-            return [
-                Finding(
-                    rule=SYNTAX_RULE,
-                    path=posix,
-                    line=error.lineno or 1,
-                    col=(error.offset or 1) - 1,
-                    message=f"syntax error: {error.msg}",
-                )
-            ]
-        ctx = LintContext(posix, source, tree)
+        findings, summary = self._check_module(posix, PurePosixPath(posix).stem, source)
+        return self._link(findings, [summary] if summary else [])
+
+    def check_paths(self, paths: Iterable) -> list[Finding]:
+        """Lint files and directory trees (walked for ``*.py``) as one
+        program."""
         findings: list[Finding] = []
-        for rule_cls in self._rules:
-            if not rule_cls.applies_to(ctx):
-                continue
-            findings.extend(rule_cls(ctx).run())
+        summaries: list[FileSummary] = []
+        for path in iter_python_files(paths):
+            file_findings, summary = self._check_module(
+                path.as_posix(), module_name(path), path.read_text(encoding="utf-8")
+            )
+            findings.extend(file_findings)
+            if summary is not None:
+                summaries.append(summary)
+        return self._link(findings, summaries)
+
+    def _check_module(
+        self, path: str, module: str, source: str
+    ) -> tuple[list[Finding], FileSummary | None]:
+        """Per-file findings of one module, and its summary for the flow
+        rules (``None`` when the module does not parse)."""
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as error:
+            syntax = Finding(
+                rule=SYNTAX_RULE,
+                path=path,
+                line=error.lineno or 1,
+                col=(error.offset or 1) - 1,
+                message=f"syntax error: {error.msg}",
+            )
+            return [syntax], None
+        ctx = LintContext(path, source, tree)
         findings = [
             finding
-            for finding in findings
+            for rule_cls in self._rules
+            if rule_cls.applies_to(ctx)
+            for finding in rule_cls(ctx).run()
             if not is_suppressed(ctx.suppressions, finding.line, finding.rule)
         ]
         if self._warn_unknown_suppressions:
             findings.extend(self._unknown_suppressions(ctx))
-        findings.sort(key=lambda f: (f.line, f.col, f.rule))
-        return findings
+        if not self._flow_rules:
+            return findings, None
+        return findings, summarize(path, module, tree, ctx.suppressions)
+
+    def _link(
+        self, findings: list[Finding], summaries: list[FileSummary]
+    ) -> list[Finding]:
+        """Add the flow rules' findings over ``summaries``; sort by place."""
+        if self._flow_rules:
+            findings = findings + run_flow_rules(
+                ProjectIndex(summaries), self._flow_rules
+            )
+        return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
     @staticmethod
     def _unknown_suppressions(ctx: LintContext) -> list[Finding]:
         """REP008 warnings for suppressions naming unregistered rules."""
-        from repro.lint.suppressions import parse_raw_suppressions
-
         known = known_rule_ids()
         findings: list[Finding] = []
         raw_table = parse_raw_suppressions(ctx.source)
@@ -209,46 +228,16 @@ class LintEngine:
                 )
         return findings
 
-    def check_file(self, path) -> list[Finding]:
-        """Lint one file on disk."""
-        from pathlib import Path
 
-        file_path = Path(path)
-        source = file_path.read_text(encoding="utf-8")
-        return self.check_source(source, file_path.as_posix())
-
-    def check_paths(self, paths: Iterable, jobs: int = 1) -> list[Finding]:
-        """Lint files and directory trees; directories are walked for
-        ``*.py`` in sorted order so output (and baselines) are stable.
-
-        ``jobs > 1`` fans the per-file work out to a process pool
-        (:func:`repro.parallel.pool.parallel_map`); results keep input
-        order, so parallel output is byte-identical to serial.
-        """
-        from pathlib import Path
-
-        files: list[Path] = []
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            else:
-                files.append(path)
-        if jobs > 1 and len(files) > 1:
-            from repro.parallel.pool import parallel_map
-
-            per_file = parallel_map(
-                _check_file_task, [(self, file_path) for file_path in files], jobs
-            )
-        else:
-            per_file = [self.check_file(file_path) for file_path in files]
-        findings: list[Finding] = []
-        for file_findings in per_file:
-            findings.extend(file_findings)
-        return findings
+def _known(rule_ids: Iterable[str], selectable: set[str]) -> set[str]:
+    """``rule_ids`` as a set; ``ValueError`` names any unknown id."""
+    chosen = set(rule_ids)
+    unknown = chosen - selectable
+    if unknown:
+        raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
+    return chosen
 
 
-def _check_file_task(item) -> list[Finding]:
-    """Picklable per-file worker for the parallel ``check_paths`` path."""
-    engine, path = item
-    return engine.check_file(path)
+# The per-file rules register themselves on import; importing them here
+# (after ``register`` exists) fills REGISTRY for every user of the engine.
+from repro.lint import rules as _rules  # noqa: E402, F401

@@ -58,6 +58,17 @@ SEARCH_SEGMENTS = frozenset({"tuners", "core"})
 DUCK_AMBIGUITY_CAP = 8
 
 
+def iter_python_files(paths) -> list[Path]:
+    """Expand files and directory trees into a sorted, duplicate-free
+    ``*.py`` list, so output (and baselines) are stable."""
+    files: dict[str, Path] = {}
+    for raw in paths:
+        path = Path(raw)
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            files.setdefault(file.as_posix(), file)
+    return [files[key] for key in sorted(files)]
+
+
 def module_name(path: Path) -> str:
     """Dotted module name of ``path``, walking up through ``__init__.py``."""
     parts: list[str] = []
@@ -251,12 +262,3 @@ class ProjectIndex:
         module, qualname = gid.split(":", 1)
         short = module.rsplit(".", 1)[-1]
         return f"{short}.{qualname}"
-
-
-def build_index(paths: list[tuple[str, str]], jobs: int = 1) -> ProjectIndex:
-    """Index ``(path, module)`` pairs without caching (test/API helper)."""
-    from repro.lint.flow.summary import summarize_file
-    from repro.parallel.pool import parallel_map
-
-    summaries = parallel_map(summarize_file, paths, jobs)
-    return ProjectIndex(summaries)

@@ -1,21 +1,27 @@
 """The interprocedural rules REP101–REP106.
 
 Each rule runs over a linked :class:`~repro.lint.flow.index.ProjectIndex`
-and enforces one cross-module invariant the per-file rules cannot see:
+and enforces one cross-module invariant. REP101, REP102 and REP104 check
+their invariant at every call depth: the zero-hop case (the flagged
+function does the damage itself) and the laundered case (a helper any
+number of hops down does it).
 
-* REP101 — budget-flow: no call path from tuner/search code to a cost-path
-  sink that bypasses the metered backend surface (the transitive closure
-  of REP001/REP007);
-* REP102 — determinism-taint: no RNG state from unseeded generators flows
-  into tuner/enumeration code, even when laundered through a factory;
+* REP101 — budget-flow: no cost-path sink (``CostModel.cost``,
+  ``_price``/``_price_shard``, ``true_cost``/``true_workload_cost``)
+  outside the metered and evaluation layers, and no call path from
+  tuner/search code to one that bypasses the metered backend surface;
+* REP102 — determinism-taint: no global-state RNG call anywhere, and no
+  RNG state from unseeded generators flowing into tuner/enumeration code,
+  even when laundered through a factory;
 * REP103 — pickle-safety: nothing unpicklable (lambdas, local functions or
   classes, open file handles or database connections — including
   instances of classes that open one in ``__init__``) reaches a
   ``CellSpec``/``BackendSpec`` construction site, even via a helper's
   return value;
-* REP104 — exception-flow: a handler that can intercept
-  ``BudgetExhaustedError`` must re-raise or convert it to a session stop
-  event;
+* REP104 — exception-flow: no handler swallows ``BudgetExhaustedError``
+  (a bare ``except:``, or a broad or explicit catch with a pass-through
+  body), and a handler that can intercept it through the call graph
+  must re-raise or convert it to a session stop event;
 * REP105 — protocol-conformance: classes registered in the backend
   registry must structurally match the ``CostBackend`` protocol;
 * REP106 — concurrent-pricing: worker threads/processes may be spawned
@@ -24,8 +30,8 @@ and enforces one cross-module invariant the per-file rules cannot see:
   (``parallel/``) — anywhere else the spawn races budget accounting.
 
 Findings are ordinary :class:`~repro.lint.findings.Finding` records, so
-the per-line suppression syntax and the checked-in baseline apply to flow
-findings exactly as they do to per-file ones.
+the per-line suppression syntax and the checked-in baseline apply to them
+exactly as they do to per-file ones.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.lint.flow.summary import (
     BUDGET_CATCHERS,
     EVAL_ONLY_CALLS,
     FileSummary,
+    HandlerSummary,
     PRIVATE_PRICING_CALLS,
 )
 from repro.lint.suppressions import is_suppressed
@@ -82,31 +89,55 @@ def _skip(index: ProjectIndex, gid: str) -> bool:
 
 
 class BudgetFlowRule(FlowRule):
-    """REP101: un-metered call paths from search code to cost-path sinks.
+    """REP101: cost-path calls that bypass the budget meter.
 
-    From every function under ``tuners/``/``core/`` the rule walks the
-    call graph breadth-first. Entering the metered backend surface
+    ``CostModel.cost`` prices a plan without charging the budget meter, and
+    ``true_cost``/``true_workload_cost`` are the *evaluation-only* ground
+    truth hooks. An uncounted call silently inflates the information a
+    tuner extracts from budget ``B`` and invalidates every
+    budget-vs-improvement comparison.
+
+    Zero hops: a function that invokes such a sink itself is flagged at
+    the sink, in every file outside the layers that price or evaluate by
+    design (``optimizer/``, ``backend/``, ``eval/``, ``lint/``).
+
+    Deeper: from every function under ``tuners/``/``core/`` the rule walks
+    the call graph breadth-first. Entering the metered backend surface
     (``whatif_cost`` and friends in ``backend/``/``optimizer/``) ends a
     path — that is the sanctioned way to pay for a cost. Reaching a
-    function that *directly* invokes a cost-path sink (``CostModel.cost``,
-    ``_price``/``_price_shard``, ``true_cost``/``true_workload_cost``)
-    without such a barrier is a budget leak laundered through the call
-    chain, reported at the first call site of the chain. Zero-hop sinks
-    (the flagged function itself sinks) are REP001's findings and are not
-    duplicated here.
+    function that directly invokes a sink without such a barrier is a
+    budget leak laundered through the call chain, reported at the first
+    call site of the chain.
     """
 
     rule_id = "REP101"
-    title = "budget-flow: search code reaches a cost-path sink un-metered"
+    title = "budget-flow: cost-path call bypasses the budget meter"
 
     _LAUNDERED = EVAL_ONLY_CALLS | PRIVATE_PRICING_CALLS
+    _SINK_EXEMPT = frozenset({"optimizer", "backend", "eval", "lint"})
+    _SINK_MESSAGES = {
+        "ground-truth": "uncounted ground-truth call `{}` outside the "
+        "evaluation layer; search code must pay via whatif_cost/evaluated_cost",
+        "private-pricing": "private pricing helper `{}` bypasses budget "
+        "accounting",
+        "cost-model": "direct cost-model call `{}` bypasses the budget meter; "
+        "go through WhatIfOptimizer",
+    }
 
     def check(self, index: ProjectIndex) -> list[Finding]:
         findings: list[Finding] = []
         for gid in sorted(index.functions):
+            summary = index.function_files[gid]
+            if not summary.segments & self._SINK_EXEMPT:
+                for sink in index.functions[gid].sinks:
+                    message = self._SINK_MESSAGES[sink.kind].format(sink.render)
+                    findings.append(
+                        self.finding(
+                            summary, sink.line, sink.col, f"budget-flow: {message}"
+                        )
+                    )
             if not index.in_search_scope(gid) or _skip(index, gid):
                 continue
-            summary = index.function_files[gid]
             for call, targets in index.edges(gid):
                 hit = self._first_sink_path(index, targets)
                 if hit is None:
@@ -153,7 +184,7 @@ class BudgetFlowRule(FlowRule):
                 # Inside the metered layer only the evaluation-only and
                 # private pricing entries are leaks; everything else is the
                 # layer's own business. A direct (one-hop) call to such an
-                # entry is REP001's per-file finding, not duplicated here.
+                # entry is a sink in the caller: the zero-hop case.
                 if function.name in self._LAUNDERED and len(path) > 1:
                     return path, f"{function.name}(...)"
                 continue
@@ -167,27 +198,49 @@ class BudgetFlowRule(FlowRule):
 
 
 class DeterminismTaintRule(FlowRule):
-    """REP102: unseeded RNG state flowing into tuner/enumeration code.
+    """REP102: RNG state outside the seed plumbing.
 
-    Two shapes are flagged inside ``tuners/``/``core/``: constructing an
-    unseeded generator in place (``random.Random()`` /
-    ``np.random.default_rng()`` with no seed — invisible to REP003, which
-    only sees module-global state calls), and calling a factory — in any
-    module, any number of return-hops deep — that hands back such a
+    Deterministic enumeration under a fixed seed (the five-seed protocol of
+    Section 7) requires every random draw to flow through an injected
+    ``random.Random`` / ``numpy.random.Generator``.
+
+    Zero hops, in every file: a call into module-global RNG state
+    (``random.shuffle(...)``, ``np.random.rand(...)``, a function imported
+    from ``random``) is invisible to the seed plumbing.
+
+    Inside ``tuners/``/``core/`` two more shapes are flagged: constructing
+    an unseeded generator in place (``random.Random()`` /
+    ``np.random.default_rng()`` with no seed), and calling a factory — in
+    any module, any number of return-hops deep — that hands back such a
     generator. Seeded factories (``make_rng(seed)``) never match.
     """
 
     rule_id = "REP102"
-    title = "determinism-taint: unseeded RNG reaches tuner/enumeration state"
+    title = "determinism-taint: global or unseeded RNG state"
 
     def check(self, index: ProjectIndex) -> list[Finding]:
         producers = self._taint_producers(index)
         findings: list[Finding] = []
         for gid in sorted(index.functions):
-            if not index.in_search_scope(gid) or _skip(index, gid):
-                continue
             summary = index.function_files[gid]
             function = index.functions[gid]
+            for line, col, call in function.global_rng:
+                hint = (
+                    "use a numpy Generator from repro.rng.make_np_rng"
+                    if call.startswith(("np.random.", "numpy.random."))
+                    else "inject a seeded random.Random instead"
+                )
+                findings.append(
+                    self.finding(
+                        summary,
+                        line,
+                        col,
+                        f"determinism-taint: global-state RNG call `{call}`; "
+                        f"{hint}",
+                    )
+                )
+            if not index.in_search_scope(gid) or _skip(index, gid):
+                continue
             for line, render in function.unseeded_rng:
                 findings.append(
                     self.finding(
@@ -359,42 +412,52 @@ class PickleSafetyRule(FlowRule):
 
 
 class ExceptionFlowRule(FlowRule):
-    """REP104: intercepted ``BudgetExhaustedError`` that dies in a handler.
+    """REP104: ``BudgetExhaustedError`` swallowed or intercepted for good.
 
-    A raised exhaustion is a terminal session signal: any handler that can
-    intercept it (an explicit catch, a broad ``except
-    Exception``/``ReproError``, or a bare ``except``) must either re-raise
-    or convert it into a session stop event. The rule propagates
-    may-raise facts through the call graph — a handler two hops above
-    ``policy.charge`` is just as able to swallow the signal as one next to
-    it. Trivial-body handlers are REP002's findings and are not
-    duplicated here.
+    A raised exhaustion is a terminal session signal; tuners pre-check
+    admission instead of catching it, so a raised one is always a real
+    accounting bug.
+
+    Zero hops, in every file: a bare ``except:``, or an ``except
+    Exception``/``BaseException``/``ReproError``/``BudgetExhaustedError``
+    whose body only passes, swallows the signal outright.
+
+    Deeper: any other handler that can intercept it (an explicit catch, a
+    broad ``except``) must either re-raise or convert it into a session
+    stop event. The rule propagates may-raise facts through the call
+    graph — a handler two hops above ``policy.charge`` is just as able to
+    swallow the signal as one next to it.
     """
 
     rule_id = "REP104"
-    title = "exception-flow: BudgetExhaustedError intercepted, not re-raised"
+    title = "exception-flow: BudgetExhaustedError swallowed, not re-raised"
 
     def check(self, index: ProjectIndex) -> list[Finding]:
         raisers = self._may_raise(index)
         findings: list[Finding] = []
         for gid in sorted(index.functions):
-            if _skip(index, gid):
-                continue
             function = index.functions[gid]
             summary = index.function_files[gid]
             for handler in function.handlers:
                 names = set(handler.names)
                 bare = not handler.names
+                swallowed = self._swallowed(handler, names)
+                if swallowed:
+                    findings.append(
+                        self.finding(
+                            summary,
+                            handler.line,
+                            handler.col,
+                            f"exception-flow: {swallowed}",
+                        )
+                    )
+                    continue
+                if _skip(index, gid):
+                    continue
                 if not bare and not names & BUDGET_CATCHERS:
                     continue
                 if handler.body_raises or handler.converts_stop:
                     continue
-                if handler.trivial and (
-                    bare
-                    or names & BROAD_CATCHERS
-                    or "BudgetExhaustedError" in names
-                ):
-                    continue  # REP002 already owns the trivial-body case
                 reachable = self._reachable_raiser(
                     index, summary, function.owner_class, handler.try_calls,
                     raisers,
@@ -426,6 +489,31 @@ class ExceptionFlowRule(FlowRule):
                     )
                 )
         return findings
+
+    @staticmethod
+    def _swallowed(handler: HandlerSummary, names: set[str]) -> str:
+        """The zero-hop case: why ``handler`` swallows the signal, or ``""``."""
+        if not handler.names:
+            return (
+                "bare `except:` swallows BudgetExhaustedError (and "
+                "everything else); catch a specific exception"
+            )
+        if not handler.trivial:
+            return ""
+        broad = sorted(BROAD_CATCHERS & names)
+        if broad:
+            return (
+                f"`except {broad[0]}` with a pass-through body swallows "
+                "BudgetExhaustedError; narrow the catch or handle the "
+                "exhaustion"
+            )
+        if "BudgetExhaustedError" in names:
+            return (
+                "`except BudgetExhaustedError` with a pass-through body "
+                "drops the exhaustion signal; fall back to derived costs or "
+                "stop the phase explicitly"
+            )
+        return ""
 
     @staticmethod
     def _reachable_raiser(
@@ -664,60 +752,17 @@ FLOW_REGISTRY: dict[str, type[FlowRule]] = {
 }
 
 
-def run_flow_rules(
-    index: ProjectIndex, select: set[str] | None = None
-) -> list[Finding]:
-    """Run the (selected) flow rules over ``index``; suppression-filtered.
+def run_flow_rules(index: ProjectIndex, select: set[str]) -> list[Finding]:
+    """Run the selected flow rules over ``index``; suppression-filtered.
 
     Findings honour the same per-line ``# repro-lint: off[REP104]`` syntax
-    as the per-file engine (suppression tables travel in the file
+    as the per-file rules (suppression tables travel in the file
     summaries).
     """
-    findings: list[Finding] = []
-    for rule_id in sorted(FLOW_REGISTRY):
-        if select is not None and rule_id not in select:
-            continue
-        findings.extend(FLOW_REGISTRY[rule_id]().check(index))
-    kept: list[Finding] = []
-    seen: set[tuple] = set()
-    for finding in findings:
-        summary = index.summaries.get(finding.path)
-        if summary is not None:
-            table = {
-                line: set(rules) for line, rules in summary.suppressions.items()
-            }
-            if is_suppressed(table, finding.line, finding.rule):
-                continue
-        key = (finding.path, finding.line, finding.col, finding.rule,
-               finding.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
-
-
-def analyze_paths(
-    paths,
-    select: set[str] | None = None,
-    jobs: int = 1,
-    cache_path=None,
-):
-    """Index ``paths`` and run the flow rules — the CLI entry point.
-
-    Args:
-        paths: Files and/or directory trees to analyze as one program.
-        select: Flow rule ids to run (``None`` = all of REP101–REP106).
-        jobs: Worker processes for the parse/summarize stage.
-        cache_path: Incremental cache file; ``None`` disables caching.
-
-    Returns:
-        ``(findings, stats)`` — the suppression-filtered findings and the
-        :class:`~repro.lint.flow.cache.FlowStats` of the indexing stage.
-    """
-    from repro.lint.flow.cache import load_summaries
-
-    summaries, stats = load_summaries(paths, cache_path=cache_path, jobs=jobs)
-    index = ProjectIndex(summaries)
-    return run_flow_rules(index, select=select), stats
+    kept: set[Finding] = set()
+    for rule_id in sorted(select):
+        for finding in FLOW_REGISTRY[rule_id]().check(index):
+            summary = index.summaries[finding.path]
+            if not is_suppressed(summary.suppressions, finding.line, finding.rule):
+                kept.add(finding)
+    return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.rule, f.message))

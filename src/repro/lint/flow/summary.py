@@ -1,25 +1,22 @@
-"""Per-file extraction for the whole-program flow analysis.
+"""Per-file extraction for the whole-program analysis.
 
 A :class:`FileSummary` is everything the link step needs to know about one
-module, computed from its source text alone — which is what makes the
-incremental cache sound: a summary is a pure function of file content, so
-it can be keyed on a content hash and reused verbatim until the file
-changes.
+module, computed from its syntax tree alone: imports, symbols, raw call
+references, cost-path sinks, RNG sources, exception handlers and spec
+construction sites, per function. Statements outside any function (module
+level and class bodies) are summarized as one more function, qualname
+:data:`MODULE_SCOPE`, so the rules see them too.
 
 The summary records *raw* call references (dotted name chains as written,
 e.g. ``"self.optimizer.whatif_cost"``); resolving them against the module
 map and import table is the link step's job
-(:mod:`repro.lint.flow.index`), so resolution picks up renames in *other*
-files without re-parsing this one.
+(:mod:`repro.lint.flow.index`).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
-
-from repro.lint.suppressions import parse_suppressions
+from dataclasses import dataclass, field
 
 #: Evaluation-only ground-truth entry points (uncounted by design).
 EVAL_ONLY_CALLS = frozenset({"true_cost", "true_workload_cost"})
@@ -45,6 +42,22 @@ STOP_CONVERTERS = frozenset(
     {"emit", "emit_stop", "record_stop", "stop", "stop_session", "halt"}
 )
 
+#: ``random`` module functions that draw from (or reseed) its global state.
+GLOBAL_RNG_FUNCS = frozenset(
+    {
+        "betavariate", "choice", "choices", "expovariate", "gammavariate",
+        "gauss", "getrandbits", "lognormvariate", "normalvariate",
+        "paretovariate", "randbytes", "randint", "random", "randrange",
+        "sample", "seed", "setstate", "shuffle", "triangular", "uniform",
+        "vonmisesvariate", "weibullvariate",
+    }
+)
+
+#: ``np.random`` attributes that build generators instead of drawing.
+NP_RNG_CONSTRUCTORS = frozenset(
+    {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
+)
+
 #: Spec constructors whose arguments must survive pickling (REP103).
 SPEC_CTORS = frozenset({"CellSpec", "BackendSpec"})
 
@@ -54,13 +67,11 @@ BACKEND_REGISTRY_NAME = "BACKENDS"
 #: The protocol class registered backends must conform to (REP105).
 BACKEND_PROTOCOL_NAME = "CostBackend"
 
-
-def content_hash(source: str) -> str:
-    """Content key for the incremental cache (sha256 of the text)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+#: Qualname of the pseudo-function holding a module's top-level statements.
+MODULE_SCOPE = "<module>"
 
 
-def _render(node: ast.AST) -> str:
+def render(node: ast.AST) -> str:
     """Compact one-line source rendering for messages."""
     try:
         text = ast.unparse(node)
@@ -114,7 +125,7 @@ def _exception_names(node: ast.expr | None) -> list[str]:
 
 
 # --------------------------------------------------------------------- #
-# summary records (all JSON round-trippable via asdict/from_dict)
+# summary records
 # --------------------------------------------------------------------- #
 
 
@@ -129,7 +140,7 @@ class CallSite:
 
 @dataclass(frozen=True)
 class SinkSite:
-    """A direct cost-path invocation (the REP001 sink patterns)."""
+    """A direct cost-path invocation (REP101's sink patterns)."""
 
     kind: str  # "ground-truth" | "private-pricing" | "cost-model"
     render: str
@@ -177,7 +188,7 @@ class SpecSite:
 class FunctionSummary:
     """One function or method as the link step sees it."""
 
-    qualname: str  # "Cls.meth", "func", "outer.inner"
+    qualname: str  # "Cls.meth", "func", "outer.inner", MODULE_SCOPE
     name: str
     line: int
     owner_class: str = ""  # immediate enclosing class name, if a method
@@ -192,6 +203,7 @@ class FunctionSummary:
     unguarded_calls: tuple[str, ...] = ()  # calls NOT inside a budget-catching try
     handlers: tuple[HandlerSummary, ...] = ()
     unseeded_rng: tuple[tuple[int, str], ...] = ()  # (line, render)
+    global_rng: tuple[tuple[int, int, str], ...] = ()  # (line, col, render)
     thread_spawns: tuple[tuple[int, str], ...] = ()  # (line, render)
     returns_unseeded: bool = False
     returned_calls: tuple[str, ...] = ()  # raw refs whose result is returned
@@ -216,101 +228,17 @@ class FileSummary:
 
     path: str
     module: str
-    sha256: str = ""
     imports: dict[str, str] = field(default_factory=dict)  # local -> dotted
-    import_modules: tuple[str, ...] = ()  # for the reverse-dependency cone
     functions: list[FunctionSummary] = field(default_factory=list)
     classes: list[ClassSummary] = field(default_factory=list)
     spec_sites: list[SpecSite] = field(default_factory=list)
     backend_registry: tuple[str, ...] = ()  # raw refs in BACKENDS = {...}
-    suppressions: dict[int, list[str]] = field(default_factory=dict)
-    error: str = ""  # syntax error message, "" = parsed fine
+    suppressions: dict[int, set[str]] = field(default_factory=dict)
 
     @property
     def segments(self) -> frozenset[str]:
         """Directory segments, for path-scoped flow rules."""
         return frozenset(self.path.split("/")[:-1])
-
-    def to_json(self) -> dict:
-        data = asdict(self)
-        data["suppressions"] = {
-            str(line): sorted(rules) for line, rules in self.suppressions.items()
-        }
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FileSummary":
-        summary = cls(path=data["path"], module=data["module"])
-        summary.sha256 = data.get("sha256", "")
-        summary.imports = dict(data.get("imports", {}))
-        summary.import_modules = tuple(data.get("import_modules", ()))
-        summary.backend_registry = tuple(data.get("backend_registry", ()))
-        summary.error = data.get("error", "")
-        summary.suppressions = {
-            int(line): list(rules)
-            for line, rules in data.get("suppressions", {}).items()
-        }
-        for item in data.get("functions", ()):
-            summary.functions.append(
-                FunctionSummary(
-                    qualname=item["qualname"],
-                    name=item["name"],
-                    line=item["line"],
-                    owner_class=item.get("owner_class", ""),
-                    args=tuple(item.get("args", ())),
-                    required=item.get("required", 0),
-                    has_vararg=item.get("has_vararg", False),
-                    has_kwarg=item.get("has_kwarg", False),
-                    is_property=item.get("is_property", False),
-                    calls=tuple(CallSite(**c) for c in item.get("calls", ())),
-                    sinks=tuple(SinkSite(**s) for s in item.get("sinks", ())),
-                    raises_budget=item.get("raises_budget", False),
-                    unguarded_calls=tuple(item.get("unguarded_calls", ())),
-                    handlers=tuple(
-                        HandlerSummary(
-                            line=h["line"],
-                            col=h["col"],
-                            names=tuple(h.get("names", ())),
-                            body_raises=h.get("body_raises", False),
-                            converts_stop=h.get("converts_stop", False),
-                            trivial=h.get("trivial", False),
-                            try_calls=tuple(h.get("try_calls", ())),
-                        )
-                        for h in item.get("handlers", ())
-                    ),
-                    unseeded_rng=tuple(
-                        (entry[0], entry[1]) for entry in item.get("unseeded_rng", ())
-                    ),
-                    thread_spawns=tuple(
-                        (entry[0], entry[1]) for entry in item.get("thread_spawns", ())
-                    ),
-                    returns_unseeded=item.get("returns_unseeded", False),
-                    returned_calls=tuple(item.get("returned_calls", ())),
-                    unpicklable_return=item.get("unpicklable_return", ""),
-                    unpicklable_self=item.get("unpicklable_self", ""),
-                )
-            )
-        for item in data.get("classes", ()):
-            summary.classes.append(
-                ClassSummary(
-                    name=item["name"],
-                    line=item["line"],
-                    bases=tuple(item.get("bases", ())),
-                    methods=dict(item.get("methods", {})),
-                    is_protocol=item.get("is_protocol", False),
-                )
-            )
-        for item in data.get("spec_sites", ()):
-            summary.spec_sites.append(
-                SpecSite(
-                    ctor=item["ctor"],
-                    func=item.get("func", ""),
-                    line=item["line"],
-                    col=item["col"],
-                    args=tuple(SpecArg(**a) for a in item.get("args", ())),
-                )
-            )
-        return summary
 
 
 # --------------------------------------------------------------------- #
@@ -319,7 +247,7 @@ class FileSummary:
 
 
 def _classify_sink(node: ast.Call) -> SinkSite | None:
-    """The REP001 sink patterns, applied to one call expression."""
+    """REP101's sink patterns, applied to one call expression."""
     func = node.func
     if not isinstance(func, ast.Attribute):
         return None
@@ -333,13 +261,14 @@ def _classify_sink(node: ast.Call) -> SinkSite | None:
         return None
     return SinkSite(
         kind=kind,
-        render=f"{_render(func)}(...)",
+        render=f"{render(func)}(...)",
         line=node.lineno,
         col=node.col_offset,
     )
 
 
 def _is_cost_model(receiver: ast.expr) -> bool:
+    """Heuristic: the receiver's terminal identifier names a model."""
     if isinstance(receiver, ast.Attribute):
         terminal = receiver.attr
     elif isinstance(receiver, ast.Name):
@@ -347,6 +276,22 @@ def _is_cost_model(receiver: ast.expr) -> bool:
     else:
         return False
     return "model" in terminal.lower()
+
+
+def _is_global_rng(node: ast.Call, imported: set[str]) -> bool:
+    """A call into module-global RNG state: ``random.shuffle(...)``,
+    ``np.random.rand(...)``, or a function imported from ``random``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in imported
+    if not isinstance(func, ast.Attribute):
+        return False
+    receiver = _dotted(func.value)
+    if receiver == "random":
+        return func.attr in GLOBAL_RNG_FUNCS
+    if receiver in ("np.random", "numpy.random"):
+        return func.attr not in NP_RNG_CONSTRUCTORS
+    return False
 
 
 def _resource_reason(raw: str) -> str:
@@ -380,35 +325,40 @@ def _is_unseeded_rng(node: ast.Call, rng_ctors: set[str]) -> bool:
     )
 
 
-class _FunctionFrame:
-    """Mutable per-function state while walking its body."""
+def _function_summary(qualname: str, node, owner_class: str) -> FunctionSummary:
+    """The signature facts of one ``def``; its body fills in the rest."""
+    args_node = node.args
+    named = [*args_node.posonlyargs, *args_node.args]
+    stripped = [a.arg for a in named]
+    if owner_class and stripped and stripped[0] in ("self", "cls"):
+        stripped = stripped[1:]
+    decorators = [call_raw(d.func) if isinstance(d, ast.Call) else call_raw(d)
+                  for d in node.decorator_list]
+    terminal = {d.rsplit(".", 1)[-1] for d in decorators}
+    return FunctionSummary(
+        qualname=qualname,
+        name=node.name,
+        line=node.lineno,
+        owner_class=owner_class,
+        args=tuple(stripped + [a.arg for a in args_node.kwonlyargs]),
+        required=max(0, len(stripped) - len(args_node.defaults)),
+        has_vararg=args_node.vararg is not None,
+        has_kwarg=args_node.kwarg is not None,
+        is_property="property" in terminal or "cached_property" in terminal,
+    )
 
-    def __init__(self, qualname: str, name: str, node, owner_class: str):
-        args_node = node.args
-        named = [*args_node.posonlyargs, *args_node.args]
-        stripped = [a.arg for a in named]
-        if owner_class and stripped and stripped[0] in ("self", "cls"):
-            stripped = stripped[1:]
-        required = max(0, len(stripped) - len(args_node.defaults))
-        decorators = [call_raw(d.func) if isinstance(d, ast.Call) else call_raw(d)
-                      for d in node.decorator_list]
-        terminal = {d.rsplit(".", 1)[-1] for d in decorators}
-        self.summary = FunctionSummary(
-            qualname=qualname,
-            name=name,
-            line=node.lineno,
-            owner_class=owner_class,
-            args=tuple(stripped + [a.arg for a in args_node.kwonlyargs]),
-            required=required,
-            has_vararg=args_node.vararg is not None,
-            has_kwarg=args_node.kwarg is not None,
-            is_property="property" in terminal or "cached_property" in terminal,
-        )
+
+class _Frame:
+    """Mutable per-function (or module-scope) state while walking a body."""
+
+    def __init__(self, summary: FunctionSummary):
+        self.summary = summary
         self.calls: list[CallSite] = []
         self.sinks: list[SinkSite] = []
         self.handlers: list[HandlerSummary] = []
         self.guarded: set[str] = set()  # raw refs inside budget-catching trys
         self.unseeded: list[tuple[int, str]] = []
+        self.global_rng: list[tuple[int, int, str]] = []
         self.thread_spawns: list[tuple[int, str]] = []
         self.returned_calls: list[str] = []
         self.returns_unseeded = False
@@ -431,6 +381,7 @@ class _FunctionFrame:
             sorted({c.raw for c in self.calls} - self.guarded)
         )
         summary.unseeded_rng = tuple(self.unseeded)
+        summary.global_rng = tuple(self.global_rng)
         summary.thread_spawns = tuple(self.thread_spawns)
         summary.returns_unseeded = self.returns_unseeded
         summary.returned_calls = tuple(sorted(set(self.returned_calls)))
@@ -440,38 +391,48 @@ class _FunctionFrame:
 
 
 class _Extractor(ast.NodeVisitor):
-    """One pass over a module tree, filling a :class:`FileSummary`."""
+    """One pass over a module tree, filling a :class:`FileSummary`.
+
+    Calls, sinks, RNG uses, raises and handlers are recorded on the
+    innermost enclosing function's frame, or on the module frame when no
+    function encloses them.
+    """
 
     def __init__(self, summary: FileSummary):
         self.summary = summary
         self.class_stack: list[ClassSummary] = []
-        self.frames: list[_FunctionFrame] = []
+        self.frames: list[_Frame] = []  # enclosing functions, innermost last
+        self.module_frame = _Frame(
+            FunctionSummary(qualname=MODULE_SCOPE, name=MODULE_SCOPE, line=0)
+        )
         self.rng_ctors: set[str] = set()  # local aliases of RNG constructors
+        self.rng_globals: set[str] = set()  # global-state draws imported from random
+
+    @property
+    def frame(self) -> _Frame:
+        """The frame that owns the statement being visited."""
+        return self.frames[-1] if self.frames else self.module_frame
 
     # ------------------------------ imports ------------------------------ #
 
     def visit_Import(self, node: ast.Import) -> None:
-        modules = list(self.summary.import_modules)
         for alias in node.names:
             local = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self.summary.imports[local] = target
-            modules.append(alias.name)
-        self.summary.import_modules = tuple(dict.fromkeys(modules))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
             return  # relative imports don't occur in this tree
-        modules = list(self.summary.import_modules)
-        modules.append(node.module)
         for alias in node.names:
             local = alias.asname or alias.name
             self.summary.imports[local] = f"{node.module}.{alias.name}"
             if node.module == "random" and alias.name in ("Random", "SystemRandom"):
                 self.rng_ctors.add(local)
-            if node.module in ("numpy.random",) and alias.name == "default_rng":
+            if node.module == "random" and alias.name in GLOBAL_RNG_FUNCS:
+                self.rng_globals.add(local)
+            if node.module == "numpy.random" and alias.name == "default_rng":
                 self.rng_ctors.add(local)
-        self.summary.import_modules = tuple(dict.fromkeys(modules))
 
     # ---------------------------- definitions ---------------------------- #
 
@@ -482,10 +443,14 @@ class _Extractor(ast.NodeVisitor):
         return ".".join([*parts, name])
 
     def _visit_function(self, node) -> None:
+        # Decorators and defaults run in the enclosing scope.
+        for expr in node.decorator_list:
+            self.visit(expr)
+        self.visit(node.args)
         owner = self.class_stack[-1].name if self.class_stack and not self.frames else ""
         if self.frames:
             self.frames[-1].local_defs.add(node.name)
-        frame = _FunctionFrame(self._qualname(node.name), node.name, node, owner)
+        frame = _Frame(_function_summary(self._qualname(node.name), node, owner))
         if owner:
             self.class_stack[-1].methods[node.name] = frame.summary.qualname
         self.frames.append(frame)
@@ -497,6 +462,8 @@ class _Extractor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        for expr in (*node.decorator_list, *node.bases, *node.keywords):
+            self.visit(expr)
         if self.frames:
             self.frames[-1].local_classes.add(node.name)
             for child in node.body:
@@ -519,20 +486,19 @@ class _Extractor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         raw = call_raw(node.func)
-        if self.frames:
-            frame = self.frames[-1]
-            frame.calls.append(
-                CallSite(raw=raw, line=node.lineno, col=node.col_offset)
+        frame = self.frame
+        frame.calls.append(CallSite(raw=raw, line=node.lineno, col=node.col_offset))
+        sink = _classify_sink(node)
+        if sink is not None:
+            frame.sinks.append(sink)
+        if _is_unseeded_rng(node, self.rng_ctors):
+            frame.unseeded.append((node.lineno, render(node)))
+        if _is_global_rng(node, self.rng_globals):
+            frame.global_rng.append(
+                (node.lineno, node.col_offset, f"{render(node.func)}(...)")
             )
-            sink = _classify_sink(node)
-            if sink is not None:
-                frame.sinks.append(sink)
-            if _is_unseeded_rng(node, self.rng_ctors):
-                frame.unseeded.append((node.lineno, f"{_render(node)}"))
-            if raw.rsplit(".", 1)[-1] in THREAD_SPAWNERS:
-                frame.thread_spawns.append(
-                    (node.lineno, f"{_render(node.func)}(...)")
-                )
+        if raw.rsplit(".", 1)[-1] in THREAD_SPAWNERS:
+            frame.thread_spawns.append((node.lineno, f"{render(node.func)}(...)"))
         terminal = raw.rsplit(".", 1)[-1]
         if terminal in SPEC_CTORS:
             self._record_spec_site(node, terminal)
@@ -556,7 +522,7 @@ class _Extractor(ast.NodeVisitor):
         )
 
     def _classify_spec_arg(
-        self, keyword: str, value: ast.expr, frame: _FunctionFrame | None
+        self, keyword: str, value: ast.expr, frame: _Frame | None
     ) -> SpecArg:
         line, col = value.lineno, value.col_offset
         if isinstance(value, ast.Lambda):
@@ -636,7 +602,7 @@ class _Extractor(ast.NodeVisitor):
                 frame.unpicklable_names.pop(name, None)
 
     def _track_self_binding(
-        self, frame: _FunctionFrame, targets: list[ast.expr], value: ast.expr
+        self, frame: _Frame, targets: list[ast.expr], value: ast.expr
     ) -> None:
         """Record ``self.x = <unpicklable>`` inside a method (REP103).
 
@@ -712,20 +678,15 @@ class _Extractor(ast.NodeVisitor):
 
     def visit_Raise(self, node: ast.Raise) -> None:
         self.generic_visit(node)
-        if not self.frames:
-            return
         exc = node.exc
         if isinstance(exc, ast.Call):
             exc = exc.func
         name = _dotted(exc) if exc is not None else None
         if name is not None and name.rsplit(".", 1)[-1] == "BudgetExhaustedError":
-            self.frames[-1].raises_budget = True
+            self.frame.raises_budget = True
 
     def visit_Try(self, node: ast.Try) -> None:
-        if not self.frames:
-            self.generic_visit(node)
-            return
-        frame = self.frames[-1]
+        frame = self.frame
         try_calls = tuple(
             call_raw(call.func)
             for stmt in node.body
@@ -787,29 +748,15 @@ class _Extractor(ast.NodeVisitor):
         return False
 
 
-def summarize_source(path: str, module: str, source: str) -> FileSummary:
-    """Extract the :class:`FileSummary` of one module from its text."""
-    summary = FileSummary(path=path, module=module, sha256=content_hash(source))
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        summary.error = f"syntax error: {error.msg}"
-        return summary
-    summary.suppressions = {
-        line: sorted(rules)
-        for line, rules in parse_suppressions(source).items()
-    }
-    _Extractor(summary).visit(tree)
+def summarize(
+    path: str, module: str, tree: ast.Module, suppressions: dict[int, set[str]]
+) -> FileSummary:
+    """Extract the :class:`FileSummary` of one parsed module."""
+    summary = FileSummary(path=path, module=module, suppressions=suppressions)
+    extractor = _Extractor(summary)
+    extractor.visit(tree)
+    summary.functions.append(extractor.module_frame.finish())
     summary.functions.sort(key=lambda f: (f.line, f.qualname))
     summary.classes.sort(key=lambda c: (c.line, c.name))
     summary.spec_sites.sort(key=lambda s: (s.line, s.col))
     return summary
-
-
-def summarize_file(item: tuple[str, str]) -> FileSummary:
-    """Worker entry point: ``(path, module) -> FileSummary`` (picklable)."""
-    path, module = item
-    from pathlib import Path
-
-    source = Path(path).read_text(encoding="utf-8")
-    return summarize_source(path, module, source)

@@ -1,6 +1,6 @@
 """SARIF 2.1.0 reporter — GitHub code-scanning annotations for CI.
 
-Emits one run with the full rule catalog (per-file REP001–REP007 plus the
+Emits one run with the full rule catalog (per-file REP004/REP005/REP007 plus the
 flow rules REP101–REP106) so uploads via
 ``github/codeql-action/upload-sarif`` render findings as inline
 annotations. New findings are ``error``-level results; baselined findings

@@ -13,7 +13,7 @@ comment often only fits after the closing bracket)::
 
     cost = optimizer.true_workload_cost(
         configuration,
-    )  # repro-lint: off[REP001]
+    )  # repro-lint: off[REP101]
 
 Suppressions are line-scoped on purpose — a file-wide opt-out belongs in
 the checked-in baseline, where it carries a justification.

@@ -23,7 +23,6 @@ suite.
 
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.executor import execute_specs
-from repro.parallel.pool import parallel_map
 from repro.parallel.spec import CellSpec, SeedOutcome
 from repro.parallel.worker import run_seed, run_seed_with_result
 
@@ -32,7 +31,6 @@ __all__ = [
     "ParallelExecutionError",
     "SeedOutcome",
     "execute_specs",
-    "parallel_map",
     "run_seed",
     "run_seed_with_result",
 ]

@@ -503,18 +503,37 @@ class TestConcurrentWriters:
         assert len(loaded) == 2 * count
         assert [p.name for p in tmp_path.iterdir()] == [shard.name]
 
+    def test_two_processes_sharing_a_garbage_shard_keep_every_entry(self, tmp_path):
+        """Both writers find a shard whose header does not parse; the one
+        that flushes second appends to the shard the first wrote."""
+        count = 3000
+        shard = PersistentWhatIfCache(tmp_path, {"backend": "race"}).path
+        shard.write_text("not a journal header\n", encoding="utf-8")
+        _race(tmp_path, count)
+        loaded = PersistentWhatIfCache(tmp_path, {"backend": "race"})
+        assert len(loaded) == 2 * count
+        assert [p.name for p in tmp_path.iterdir()] == [shard.name]
+
     def test_filesystem_without_hard_links_replaces_the_shard(
         self, tmp_path, monkeypatch
     ):
+        """Creating a shard needs no hard links (vfat, some network
+        mounts): a missing shard is replaced into place, and a writer that
+        found none too appends to it."""
+
         def no_links(source, target):
             raise PermissionError(1, "Operation not permitted")
 
         monkeypatch.setattr("repro.backend.cache.os.link", no_links)
-        cache = PersistentWhatIfCache(tmp_path, {"backend": "a"})
-        cache.put("q1", (), 1.5)
-        assert cache.flush() == 1
-        assert PersistentWhatIfCache(tmp_path, {"backend": "a"}).get("q1", ()) == 1.5
-        assert [p.name for p in tmp_path.iterdir()] == [cache.path.name]
+        first = PersistentWhatIfCache(tmp_path, {"backend": "a"})
+        second = PersistentWhatIfCache(tmp_path, {"backend": "a"})
+        first.put("q1", (), 1.5)
+        second.put("q2", (), 2.5)
+        assert first.flush() == 1
+        assert second.flush() == 1
+        reloaded = PersistentWhatIfCache(tmp_path, {"backend": "a"})
+        assert (reloaded.get("q1", ()), reloaded.get("q2", ())) == (1.5, 2.5)
+        assert [p.name for p in tmp_path.iterdir()] == [first.path.name]
 
     def test_later_flushes_append_only_new_entries(self, tmp_path):
         cache = PersistentWhatIfCache(tmp_path, {"backend": "a"})

@@ -74,7 +74,7 @@ class TestExtraction:
         self_knowledge_budget = optimizer.meter
         try:
             self.seed_knowledge(optimizer, toy_candidates)
-        except BudgetExhaustedError:  # repro-lint: off[REP002]
+        except BudgetExhaustedError:  # repro-lint: off[REP104]
             pass  # exhausting the budget is this test's setup, not a failure
         calls_before = optimizer.calls_used
         config = extract_bg(optimizer, toy_candidates, constraints)

@@ -1,4 +1,5 @@
-"""REP001 is exempt under optimizer/: the metering layer prices directly."""
+"""REP101's zero-hop case is exempt under optimizer/: the metering layer
+prices directly."""
 
 
 def price_directly(model, optimizer, prepared, key, config):

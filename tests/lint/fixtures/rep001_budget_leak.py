@@ -1,12 +1,12 @@
-"""REP001 fixtures: un-metered cost-path calls outside the allowlist."""
+"""REP101 zero-hop fixtures: un-metered cost-path calls outside the allowlist."""
 
 
 def leaky(cost_model, optimizer, query, config):
-    a = cost_model.cost(query, config)  # repro-lint-expect: REP001
-    b = optimizer.true_cost(query, config)  # repro-lint-expect: REP001
-    c = optimizer.true_workload_cost(config)  # repro-lint-expect: REP001
-    d = optimizer._price(query, config)  # repro-lint-expect: REP001
-    e = optimizer._price_shard([(query, config)])  # repro-lint-expect: REP001
+    a = cost_model.cost(query, config)  # repro-lint-expect: REP101
+    b = optimizer.true_cost(query, config)  # repro-lint-expect: REP101
+    c = optimizer.true_workload_cost(config)  # repro-lint-expect: REP101
+    d = optimizer._price(query, config)  # repro-lint-expect: REP101
+    e = optimizer._price_shard([(query, config)])  # repro-lint-expect: REP101
     return a, b, c, d, e
 
 
@@ -23,4 +23,4 @@ def not_a_model(totals, query, config):
 
 
 def justified(optimizer, query, config):
-    return optimizer.true_cost(query, config)  # repro-lint: off[REP001]
+    return optimizer.true_cost(query, config)  # repro-lint: off[REP101]

@@ -1,24 +1,24 @@
-"""REP002 fixtures: handlers that can swallow BudgetExhaustedError."""
+"""REP104 zero-hop fixtures: handlers that swallow BudgetExhaustedError."""
 
 
 def swallows_everything(run):
     try:
         run()
-    except:  # repro-lint-expect: REP002
+    except:  # repro-lint-expect: REP104
         pass
 
 
 def swallows_broad(run):
     try:
         run()
-    except Exception:  # repro-lint-expect: REP002
+    except Exception:  # repro-lint-expect: REP104
         pass
 
 
 def drops_the_signal(run):
     try:
         run()
-    except BudgetExhaustedError:  # repro-lint-expect: REP002
+    except BudgetExhaustedError:  # repro-lint-expect: REP104
         pass
 
 
@@ -39,5 +39,12 @@ def narrow_catch(run, log):
 def justified(run):
     try:
         run()
-    except Exception:  # repro-lint: off[REP002]
+    except Exception:  # repro-lint: off[REP104]
         pass
+
+
+# Module level: the handler of a top-level ``try`` is summarized too.
+try:
+    import_time_setup()
+except Exception:  # repro-lint-expect: REP104
+    pass

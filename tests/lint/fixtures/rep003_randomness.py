@@ -1,4 +1,4 @@
-"""REP003 fixtures: global RNG state vs injected generators."""
+"""REP102 zero-hop fixtures: global RNG state vs injected generators."""
 
 import random
 
@@ -7,11 +7,11 @@ from random import shuffle
 
 
 def unseeded(items):
-    random.seed(42)  # repro-lint-expect: REP003
-    value = random.random()  # repro-lint-expect: REP003
-    pick = random.choice(items)  # repro-lint-expect: REP003
-    shuffle(items)  # repro-lint-expect: REP003
-    noise = np.random.rand(3)  # repro-lint-expect: REP003
+    random.seed(42)  # repro-lint-expect: REP102
+    value = random.random()  # repro-lint-expect: REP102
+    pick = random.choice(items)  # repro-lint-expect: REP102
+    shuffle(items)  # repro-lint-expect: REP102
+    noise = np.random.rand(3)  # repro-lint-expect: REP102
     return value, pick, noise
 
 
@@ -23,4 +23,8 @@ def seeded(seed, items):
 
 
 def justified():
-    return random.random()  # repro-lint: off[REP003]
+    return random.random()  # repro-lint: off[REP102]
+
+
+# Module level: an import-time reseed of the global state.
+random.seed(0)  # repro-lint-expect: REP102

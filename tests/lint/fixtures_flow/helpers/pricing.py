@@ -1,13 +1,13 @@
 """Pricing helpers outside the tuner scope (REP101 fixture support).
 
-REP001 never looks at this file (no ``tuners``/``core`` path segment), so
-only the whole-program rule can connect a tuner to ``sneaky_price``'s
-sink — that is the laundering REP101 exists to catch.
+``sneaky_price``'s own sink is REP101's zero-hop case (this file sits in
+no exempt layer). Only the call graph connects a tuner to that sink —
+that is the laundering REP101's deeper case exists to catch.
 """
 
 
 def sneaky_price(model, query):
-    return model.cost(query)
+    return model.cost(query)  # flow-expect: REP101
 
 
 def safe_price(backend, query):

@@ -1,8 +1,8 @@
 """RNG factories (REP102 fixture support).
 
-``random.Random()`` with no seed never trips the per-file REP003 rule
-(that one only sees module-global *state calls*), so laundering an
-unseeded generator through a factory is exactly REP102's territory.
+``random.Random()`` with no seed is no module-global *state call*, so
+REP102's zero-hop case stays silent here; laundering an unseeded
+generator through a factory into search code is its deeper case.
 """
 
 import random

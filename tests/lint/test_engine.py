@@ -13,6 +13,10 @@ from repro.lint.findings import Finding
 from repro.lint.suppressions import ALL_RULES, is_suppressed, parse_suppressions
 
 
+#: A module REP102 flags (a global-state RNG call) and no other rule does.
+_DIRTY = "import random\n\n\ndef f(xs):\n    random.shuffle(xs)\n    return xs\n"
+
+
 class TestSuppressions:
     def test_single_rule(self):
         table = parse_suppressions("x = 1  # repro-lint: off[REP004]\n")
@@ -25,8 +29,8 @@ class TestSuppressions:
     def test_bare_off_suppresses_everything(self):
         table = parse_suppressions("x = 1  # repro-lint: off\n")
         assert table == {1: {ALL_RULES}}
-        assert is_suppressed(table, 1, "REP001")
-        assert is_suppressed(table, 1, "REP006")
+        assert is_suppressed(table, 1, "REP101")
+        assert is_suppressed(table, 1, "REP104")
 
     def test_unrelated_comment_is_not_a_suppression(self):
         assert parse_suppressions("x = 1  # repro-lint-expect: REP004\n") == {}
@@ -47,23 +51,21 @@ class TestEngine:
             LintEngine(select=["REP999"])
 
     def test_registry_has_all_rules(self):
-        assert set(REGISTRY) == {
-            "REP001", "REP002", "REP003", "REP004",
-            "REP005", "REP006", "REP007",
-        }
+        assert set(REGISTRY) == {"REP004", "REP005", "REP007"}
 
     def test_findings_sorted_by_position(self):
         source = (
-            "def f(m, q, c, xs=[]):\n"
-            "    return m.true_cost(q, c)\n"
+            "def f(m, q, c):\n"
+            "    if c == 0.0:\n"
+            "        return m.true_cost(q, c)\n"
         )
         findings = LintEngine().check_source(source, "tuners/m.py")
-        assert [f.rule for f in findings] == ["REP006", "REP001"]
-        assert findings[0].line <= findings[1].line
+        assert [f.rule for f in findings] == ["REP005", "REP101"]
+        assert findings[0].line < findings[1].line
 
 
 class TestBaseline:
-    def _finding(self, message="msg", path="src/m.py", rule="REP001"):
+    def _finding(self, message="msg", path="src/m.py", rule="REP101"):
         return Finding(rule=rule, path=path, line=3, col=0, message=message)
 
     def test_split_partitions(self):
@@ -71,8 +73,8 @@ class TestBaseline:
         new_f = self._finding("brand new")
         baseline = Baseline(
             [
-                BaselineEntry(path="src/m.py", rule="REP001", message="accepted"),
-                BaselineEntry(path="src/m.py", rule="REP001", message="gone"),
+                BaselineEntry(path="src/m.py", rule="REP101", message="accepted"),
+                BaselineEntry(path="src/m.py", rule="REP101", message="gone"),
             ]
         )
         new, accepted, stale = baseline.split([accepted_f, new_f])
@@ -82,7 +84,7 @@ class TestBaseline:
 
     def test_line_drift_does_not_stale(self):
         baseline = Baseline(
-            [BaselineEntry(path="src/m.py", rule="REP001", message="msg", line=99)]
+            [BaselineEntry(path="src/m.py", rule="REP101", message="msg", line=99)]
         )
         new, accepted, stale = baseline.split([self._finding()])
         assert not new and not stale and len(accepted) == 1
@@ -92,20 +94,20 @@ class TestBaseline:
         Baseline.from_findings([self._finding()]).save(path)
         loaded = Baseline.load(path)
         assert [entry.key for entry in loaded.entries] == [
-            ("src/m.py", "REP001", "msg")
+            ("src/m.py", "REP101", "msg")
         ]
 
 
 class TestCli:
     def _write_dirty(self, tmp_path):
         target = tmp_path / "mod.py"
-        target.write_text("def f(xs=[]):\n    return xs\n", encoding="utf-8")
+        target.write_text(_DIRTY, encoding="utf-8")
         return target
 
     def test_findings_exit_1(self, tmp_path, capsys):
         target = self._write_dirty(tmp_path)
         assert lint_main([str(target), "--no-baseline"]) == 1
-        assert "REP006" in capsys.readouterr().out
+        assert "REP102" in capsys.readouterr().out
 
     def test_clean_exit_0(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
@@ -131,7 +133,7 @@ class TestCli:
                     "entries": [
                         {
                             "path": "gone.py",
-                            "rule": "REP001",
+                            "rule": "REP101",
                             "message": "old",
                             "justification": "was fixed",
                         }
@@ -147,7 +149,7 @@ class TestCli:
         target = self._write_dirty(tmp_path)
         assert lint_main([str(target), "--no-baseline", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "REP006"
+        assert payload["findings"][0]["rule"] == "REP102"
         assert payload["baselined"] == []
         assert payload["stale_baseline"] == []
 
@@ -164,8 +166,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP006"):
+        for rule_id in ("REP004", "REP101"):
             assert rule_id in out
+        for retired in ("REP001", "REP002", "REP003", "REP006"):
+            assert retired not in out
 
 
 class TestBaselineJustification:
@@ -173,7 +177,7 @@ class TestBaselineJustification:
 
     def _write_dirty(self, tmp_path):
         target = tmp_path / "mod.py"
-        target.write_text("def f(xs=[]):\n    return xs\n", encoding="utf-8")
+        target.write_text(_DIRTY, encoding="utf-8")
         return target
 
     def test_written_baseline_carries_the_justification(self, tmp_path, capsys):
@@ -186,15 +190,15 @@ class TestBaselineJustification:
                     "--write-baseline",
                     str(baseline),
                     "--justification",
-                    "mutable default is load-bearing here",
+                    "global reseed is load-bearing here",
                 ]
             )
             == 0
         )
-        assert "mutable default is load-bearing here" in capsys.readouterr().out
+        assert "global reseed is load-bearing here" in capsys.readouterr().out
         entries = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
         assert all(
-            e["justification"] == "mutable default is load-bearing here"
+            e["justification"] == "global reseed is load-bearing here"
             for e in entries
         )
         # A justified baseline stays warning-free on the next run.
@@ -229,8 +233,8 @@ class TestSuppressionEdgeCases:
 
     def test_multiple_rules_one_comment_suppresses_both(self):
         source = (
-            "def f(m, q, c, xs=[]):  # repro-lint: off[REP006, REP001]\n"
-            "    return m.true_cost(q, c)  # repro-lint: off[REP001]\n"
+            "def f(m, q, c):\n"
+            "    return m.true_cost(q, c) == 0.0  # repro-lint: off[REP005, REP101]\n"
         )
         assert LintEngine().check_source(source, "tuners/m.py") == []
 
@@ -239,7 +243,7 @@ class TestSuppressionEdgeCases:
             "def f(m, q, c):\n"
             "    return m.true_cost(\n"
             "        q, c,\n"
-            "    )  # repro-lint: off[REP001]\n"
+            "    )  # repro-lint: off[REP101]\n"
         )
         assert LintEngine().check_source(source, "tuners/m.py") == []
 
@@ -248,11 +252,11 @@ class TestSuppressionEdgeCases:
             "def f(m, q, c):\n"
             "    first = m.true_cost(\n"
             "        q, c,\n"
-            "    )  # repro-lint: off[REP001]\n"
+            "    )  # repro-lint: off[REP101]\n"
             "    return m.true_cost(q, c)\n"
         )
         findings = LintEngine().check_source(source, "tuners/m.py")
-        assert [f.rule for f in findings] == ["REP001"]
+        assert [f.rule for f in findings] == ["REP101"]
         assert findings[0].line == 5
 
     def test_unknown_rule_suppression_warns(self):
@@ -261,6 +265,12 @@ class TestSuppressionEdgeCases:
         assert [f.rule for f in findings] == ["REP008"]
         assert "REP04" in findings[0].message
         assert findings[0].line == 1
+
+    def test_retired_rule_suppression_warns(self):
+        source = "x = 1  # repro-lint: off[REP001]\n"
+        findings = LintEngine().check_source(source, "mod.py")
+        assert [f.rule for f in findings] == ["REP008"]
+        assert "REP001" in findings[0].message
 
     def test_known_flow_rule_suppression_does_not_warn(self):
         source = "x = 1  # repro-lint: off[REP102]\n"
@@ -281,18 +291,18 @@ class TestSuppressionEdgeCases:
 
 
 class TestIgnore:
-    _SOURCE = "def f(m, q, c, xs=[]):\n    return m.true_cost(q, c)\n"
+    _SOURCE = "def f(m, q, c):\n    return m.true_cost(q, c) == 0.0\n"
 
     def test_ignore_drops_a_rule(self):
-        findings = LintEngine(ignore=["REP006"]).check_source(
+        findings = LintEngine(ignore=["REP005"]).check_source(
             self._SOURCE, "tuners/m.py"
         )
-        assert [f.rule for f in findings] == ["REP001"]
+        assert [f.rule for f in findings] == ["REP101"]
 
     def test_ignore_applies_after_select(self):
-        engine = LintEngine(select=["REP001", "REP006"], ignore=["REP006"])
+        engine = LintEngine(select=["REP101", "REP005"], ignore=["REP005"])
         findings = engine.check_source(self._SOURCE, "tuners/m.py")
-        assert [f.rule for f in findings] == ["REP001"]
+        assert [f.rule for f in findings] == ["REP101"]
 
     def test_unknown_ignore_rejected(self):
         with pytest.raises(ValueError, match="REP999"):
@@ -303,7 +313,7 @@ class TestBaselineFormat:
     def test_save_sorted_keys_and_trailing_newline(self, tmp_path):
         path = tmp_path / "baseline.json"
         Baseline(
-            [BaselineEntry(path="src/m.py", rule="REP001", message="msg")]
+            [BaselineEntry(path="src/m.py", rule="REP101", message="msg")]
         ).save(path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("}\n")
@@ -314,7 +324,7 @@ class TestBaselineFormat:
 class TestCliFlowSurface:
     def _write_dirty(self, tmp_path):
         target = tmp_path / "mod.py"
-        target.write_text("def f(xs=[]):\n    return xs\n", encoding="utf-8")
+        target.write_text(_DIRTY, encoding="utf-8")
         return target
 
     def _write_flow_project(self, tmp_path):
@@ -332,28 +342,26 @@ class TestCliFlowSurface:
     def test_ignore_flag(self, tmp_path, capsys):
         target = self._write_dirty(tmp_path)
         assert lint_main(
-            [str(target), "--no-baseline", "--ignore", "REP006"]
+            [str(target), "--no-baseline", "--ignore", "REP102"]
         ) == 0
 
     def test_unknown_ignore_exit_2(self, tmp_path):
         target = self._write_dirty(tmp_path)
         assert lint_main([str(target), "--ignore", "REP999"]) == 2
 
-    def test_jobs_flag_matches_serial(self, tmp_path, capsys):
-        target = self._write_dirty(tmp_path)
-        (tmp_path / "other.py").write_text("y = 2\n", encoding="utf-8")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
-        serial = capsys.readouterr().out
-        assert lint_main([str(tmp_path), "--no-baseline", "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
-
     def test_invalid_jobs_exit_2(self, tmp_path):
+        """``--jobs`` and the other speed options are gone: argparse
+        rejects them as unknown arguments."""
         target = self._write_dirty(tmp_path)
-        assert lint_main([str(target), "--jobs", "0"]) == 2
+        for option in (["--jobs", "2"], ["--flow"], ["--cache", "c.json"],
+                       ["--no-cache"], ["--stats"]):
+            with pytest.raises(SystemExit) as exit_info:
+                lint_main([str(target), *option])
+            assert exit_info.value.code == 2
 
-    def test_flow_flag_reports_flow_findings(self, tmp_path, capsys):
+    def test_default_run_reports_flow_findings(self, tmp_path, capsys):
         project = self._write_flow_project(tmp_path)
-        assert lint_main([str(project), "--no-baseline", "--flow"]) == 1
+        assert lint_main([str(project), "--no-baseline"]) == 1
         assert "REP102" in capsys.readouterr().out
 
     def test_selecting_flow_rule_implies_flow(self, tmp_path, capsys):
@@ -367,7 +375,7 @@ class TestCliFlowSurface:
         project = self._write_flow_project(tmp_path)
         ignore = "REP101,REP102,REP103,REP104,REP105,REP106"
         assert lint_main(
-            [str(project), "--no-baseline", "--flow", "--ignore", ignore]
+            [str(project), "--no-baseline", "--ignore", ignore]
         ) == 0
 
     def test_sarif_format(self, tmp_path, capsys):
@@ -377,22 +385,7 @@ class TestCliFlowSurface:
         ) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"][0]["ruleId"] == "REP006"
-
-    def test_flow_cache_stats(self, tmp_path, capsys):
-        project = self._write_flow_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        args = [
-            str(project), "--no-baseline", "--flow",
-            "--cache", str(cache), "--stats",
-        ]
-        assert lint_main(args) == 1
-        cold = capsys.readouterr()
-        assert lint_main(args) == 1
-        warm = capsys.readouterr()
-        assert warm.out == cold.out
-        assert "1 re-indexed" in cold.err
-        assert "0 re-indexed" in warm.err
+        assert doc["runs"][0]["results"][0]["ruleId"] == "REP102"
 
     def test_list_rules_includes_flow(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -403,9 +396,7 @@ class TestCliFlowSurface:
     def test_exclude_drops_directory_findings(self, tmp_path, capsys):
         nested = tmp_path / "fixtures"
         nested.mkdir()
-        (nested / "mod.py").write_text(
-            "def f(xs=[]):\n    return xs\n", encoding="utf-8"
-        )
+        (nested / "mod.py").write_text(_DIRTY, encoding="utf-8")
         (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
         assert lint_main([str(tmp_path), "--no-baseline"]) == 1
         capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Fixture-driven tests for the whole-program flow rules REP101–REP106.
+"""Fixture-driven tests for the whole-program rules REP101–REP106.
 
 The mini project under ``fixtures_flow/`` marks every line it expects a
 flow finding on with a trailing ``# flow-expect: REPxxx`` comment
@@ -13,6 +13,7 @@ never report into a ``lint`` path segment.
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 from collections import Counter
@@ -20,10 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.flow import FLOW_REGISTRY, analyze_paths, build_index
-from repro.lint.flow.cache import DEFAULT_CACHE, FlowCache, load_summaries
-from repro.lint.flow.index import module_name
-from repro.lint.flow.summary import summarize_source
+from repro.lint import LintEngine
+from repro.lint.flow import FLOW_REGISTRY, ProjectIndex
+from repro.lint.flow.index import iter_python_files, module_name
+from repro.lint.flow.summary import MODULE_SCOPE, summarize
+from repro.lint.suppressions import parse_suppressions
 
 FIXTURES = Path(__file__).parent / "fixtures_flow"
 
@@ -34,6 +36,26 @@ def _copy_fixtures(root: Path) -> Path:
     target = root / "flowproj"
     shutil.copytree(FIXTURES, target)
     return target
+
+
+def _analyze(project: Path, select=None) -> list:
+    """The flow rules' findings over ``project``, linted as one program."""
+    return LintEngine(select=select or sorted(FLOW_REGISTRY)).check_paths([project])
+
+
+def _index(project: Path) -> ProjectIndex:
+    summaries = []
+    for path in iter_python_files([project]):
+        source = path.read_text(encoding="utf-8")
+        summaries.append(
+            summarize(
+                path.as_posix(),
+                module_name(path),
+                ast.parse(source),
+                parse_suppressions(source),
+            )
+        )
+    return ProjectIndex(summaries)
 
 
 def _expected(project: Path) -> Counter:
@@ -56,8 +78,7 @@ def _expected(project: Path) -> Counter:
 @pytest.fixture(scope="module")
 def flow_project(tmp_path_factory) -> tuple[Path, list]:
     project = _copy_fixtures(tmp_path_factory.mktemp("flow"))
-    findings, _ = analyze_paths([project])
-    return project, findings
+    return project, _analyze(project)
 
 
 class TestFixtureExpectations:
@@ -106,137 +127,40 @@ class TestFixtureExpectations:
 class TestSelect:
     def test_select_restricts_rules(self, tmp_path):
         project = _copy_fixtures(tmp_path)
-        findings, _ = analyze_paths([project], select={"REP104"})
+        findings = _analyze(project, select=["REP104"])
         assert findings
         assert {f.rule for f in findings} == {"REP104"}
 
 
-class TestIncrementalCache:
-    def _analyze(self, project: Path, cache: Path):
-        return analyze_paths([project], cache_path=cache)
-
-    def test_warm_run_is_byte_identical_and_fully_cached(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        cold_findings, cold_stats = self._analyze(project, cache)
-        warm_findings, warm_stats = self._analyze(project, cache)
-        assert [f.__dict__ for f in warm_findings] == [
-            f.__dict__ for f in cold_findings
-        ]
-        assert len(cold_stats.reindexed) == cold_stats.total_files
-        assert warm_stats.reindexed == []
-        assert warm_stats.from_cache == warm_stats.total_files
-
-    def test_touched_file_dirties_only_its_reverse_cone(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        self._analyze(project, cache)
-        rng = project / "helpers" / "rng.py"
-        rng.write_text(
-            rng.read_text(encoding="utf-8") + "\n# touched\n", encoding="utf-8"
-        )
-        _, stats = self._analyze(project, cache)
-        reindexed = {
-            Path(p).relative_to(project).as_posix() for p in stats.reindexed
-        }
-        assert "helpers/rng.py" in reindexed
-        assert "tuners/search.py" in reindexed  # imports helpers.rng
-        assert "backend/base.py" not in reindexed
-        assert "sessions/driver.py" not in reindexed
-
-    def test_edit_changes_findings_through_the_cache(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        before, _ = self._analyze(project, cache)
-        rng = project / "helpers" / "rng.py"
-        fixed = rng.read_text(encoding="utf-8").replace(
-            "def make_global_gen():\n    return random.Random()",
-            "def make_global_gen(seed=0):\n    return random.Random(seed)",
-        )
-        rng.write_text(fixed, encoding="utf-8")
-        after, _ = self._analyze(project, cache)
-        gone = {
-            (f.path, f.line)
-            for f in before
-            if f.rule == "REP102" and "make_global_gen" in f.message
-        }
-        assert gone
-        still = {
-            (f.path, f.line)
-            for f in after
-            if f.rule == "REP102" and "make_global_gen" in f.message
-        }
-        assert still == set()
-
-    def test_version_mismatch_falls_back_to_cold(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        self._analyze(project, cache)
-        from repro.lint.flow.cache import CACHE_VERSION
-
-        text = cache.read_text(encoding="utf-8")
-        cache.write_text(
-            text.replace(f'"version": {CACHE_VERSION}', '"version": 0')
-        )
-        _, stats = self._analyze(project, cache)
-        assert len(stats.reindexed) == stats.total_files
-
-    def test_corrupt_cache_falls_back_to_cold(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        cache.write_text("{not json", encoding="utf-8")
-        findings, stats = self._analyze(project, cache)
-        assert len(stats.reindexed) == stats.total_files
-        assert findings
-
-
 class TestSummaries:
-    def test_summary_round_trips_through_json(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        path = project / "sessions" / "driver.py"
-        summary = summarize_source(
-            path.as_posix(),
-            module_name(path),
-            path.read_text(encoding="utf-8"),
+    def test_module_level_statements_are_summarized(self):
+        source = (
+            "import random\n"
+            "random.seed(0)\n"
+            "try:\n"
+            "    setup()\n"
+            "except Exception:\n"
+            "    pass\n"
         )
-        from repro.lint.flow.summary import FileSummary
-
-        assert FileSummary.from_json(summary.to_json()) == summary
-
-    def test_parallel_indexing_matches_serial(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        serial, _ = load_summaries([project], jobs=1)
-        parallel, _ = load_summaries([project], jobs=2)
-        assert [s.path for s in serial] == [s.path for s in parallel]
-        assert serial == parallel
+        summary = summarize("m.py", "m", ast.parse(source), {})
+        [module] = [f for f in summary.functions if f.qualname == MODULE_SCOPE]
+        assert [line for line, _, _ in module.global_rng] == [2]
+        assert [handler.line for handler in module.handlers] == [5]
 
     def test_syntax_error_file_is_tolerated(self, tmp_path):
         project = _copy_fixtures(tmp_path)
         (project / "broken.py").write_text("def broken(:\n", encoding="utf-8")
-        findings, stats = analyze_paths([project])
-        assert stats.total_files == len(list(project.rglob("*.py")))
-        assert findings  # the rest of the project still reports
+        findings = _analyze(project, select=["REP101"])
+        assert [f.rule for f in findings if f.path.endswith("broken.py")] == [
+            "REP000"
+        ]
+        assert any(f.rule == "REP101" for f in findings)  # the rest still reports
 
     def test_build_index_resolves_cross_module_imports(self, tmp_path):
         project = _copy_fixtures(tmp_path)
-        paths = [
-            (p.as_posix(), module_name(p)) for p in sorted(project.rglob("*.py"))
-        ]
-        index = build_index(paths)
+        index = _index(project)
         summary = index.summaries[
             (project / "tuners" / "search.py").as_posix()
         ]
         targets = index.resolve_call(summary, "sneaky_price")
         assert targets == ("helpers.pricing:sneaky_price",)
-
-
-class TestFlowCacheUnit:
-    def test_cached_summary_rejects_stale_hash(self, tmp_path):
-        cache_file = tmp_path / "c.json"
-        source = "def f():\n    return 1\n"
-        summary = summarize_source("m.py", "m", source)
-        cache = FlowCache(cache_file)
-        cache.save([summary])
-        loaded = FlowCache(cache_file).load()
-        assert loaded.cached_summary("m.py", summary.sha256) == summary
-        assert loaded.cached_summary("m.py", "0" * 64) is None

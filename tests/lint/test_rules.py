@@ -1,12 +1,13 @@
-"""Fixture-driven tests for REP001–REP007.
+"""Fixture-driven tests for the per-file rules and the zero-hop cases of
+REP101, REP102 and REP104.
 
 Each fixture under ``fixtures/`` marks the lines it expects to be flagged
 with a trailing ``# repro-lint-expect: REPxxx`` comment (the marker syntax
 deliberately cannot collide with the ``# repro-lint: off`` suppression
-syntax). The harness lints each fixture with its path *relative to the
-fixture root*, so scoped directories (``tuners/``, ``core/``,
-``optimizer/``) exercise the rules' path scoping exactly as they apply to
-``src/repro/...``.
+syntax). The harness lints each fixture, with every rule, as a program of
+one module whose path is *relative to the fixture root*, so scoped
+directories (``tuners/``, ``core/``, ``optimizer/``) exercise the rules'
+path scoping exactly as they apply to ``src/repro/...``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT_RE = re.compile(r"#\s*repro-lint-expect:\s*(?P<rules>[A-Z0-9_,\s]+)")
 
 ALL_RULES = (
-    "REP001",
-    "REP002",
-    "REP003",
     "REP004",
     "REP005",
-    "REP006",
     "REP007",
+    "REP101",
+    "REP102",
+    "REP104",
 )
 
 
@@ -101,7 +101,7 @@ class TestScoping:
 
     def test_exempt_beats_everything(self):
         source = "def f(m, q, c):\n    return m.true_cost(q, c)\n"
-        engine = LintEngine(select=["REP001"])
+        engine = LintEngine(select=["REP101"])
         assert engine.check_source(source, "tuners/mod.py")
         assert not engine.check_source(source, "optimizer/mod.py")
         assert not engine.check_source(source, "eval/mod.py")

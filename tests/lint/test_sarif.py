@@ -12,7 +12,7 @@ from repro.lint.flow.rules import FLOW_REGISTRY
 from repro.lint.sarif import SARIF_SCHEMA, SARIF_VERSION, report_sarif
 
 
-def _finding(rule="REP001", path="src/repro/tuners/x.py", line=7, col=4):
+def _finding(rule="REP101", path="src/repro/tuners/x.py", line=7, col=4):
     return Finding(rule=rule, path=path, line=line, col=col, message="msg")
 
 
@@ -38,6 +38,7 @@ class TestSarifStructure:
         assert set(REGISTRY) <= ids
         assert set(FLOW_REGISTRY) <= ids
         assert {"REP000", "REP008"} <= ids
+        assert not {"REP001", "REP002", "REP003", "REP006"} & ids  # retired
         for rule in doc["runs"][0]["tool"]["driver"]["rules"]:
             assert rule["shortDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] == "error"
@@ -57,18 +58,18 @@ class TestSarifStructure:
         assert location["region"]["startColumn"] == 4  # col is 0-based
 
     def test_accepted_findings_are_suppressed_results(self):
-        doc = _render([_finding(rule="REP101")], accepted=[_finding(rule="REP001")])
+        doc = _render([_finding(rule="REP104")], accepted=[_finding(rule="REP101")])
         results = doc["runs"][0]["results"]
         assert len(results) == 2
         open_results = [r for r in results if "suppressions" not in r]
         suppressed = [r for r in results if "suppressions" in r]
-        assert [r["ruleId"] for r in open_results] == ["REP101"]
-        assert [r["ruleId"] for r in suppressed] == ["REP001"]
+        assert [r["ruleId"] for r in open_results] == ["REP104"]
+        assert [r["ruleId"] for r in suppressed] == ["REP101"]
         assert suppressed[0]["suppressions"][0]["kind"] == "external"
         assert suppressed[0]["suppressions"][0]["justification"]
 
     def test_stale_entries_do_not_become_results(self):
-        stale = [BaselineEntry(path="src/x.py", rule="REP001", message="old")]
+        stale = [BaselineEntry(path="src/x.py", rule="REP101", message="old")]
         doc = _render([], stale=stale)
         assert doc["runs"][0]["results"] == []
 
